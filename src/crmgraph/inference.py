@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, InconsistentStateError, TooFewSamplesError
+from .errors import DomainError, InconsistentStateError, SchemaError
 from .params import rng_stream
 from .totalmass import sample_tilted_total_mass, sample_truncated_poisson
 from .params import GgpParams, TiltedStableSpec
@@ -388,7 +388,6 @@ def run_chain(graph, config, rng=None, chain_id=0):
             "thin": config.thin,
             "stepsize": adapter.frozen_stepsize,
             "init": {
-                "alpha": float(state.alpha) if config.n_iter == 0 else None,
                 "n_nodes": graph.n_nodes,
                 "n_edges": graph.n_edges,
             },
@@ -518,12 +517,15 @@ def save_state(state, path):
 
 
 def load_state(path, graph=None):
+    """Read an McmcState written by save_state.
+
+    Given the graph, the state's sizes are checked against it and the
+    per-node counts m are rebuilt from the latent edge counts.
+    """
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("schema_version") != STATE_SCHEMA_VERSION:
-        raise TooFewSamplesError(
-            f"unsupported state schema version {blob.get('schema_version')!r}"
-        )
+        raise SchemaError(f"unsupported state schema version {blob.get('schema_version')!r}")
     state = McmcState(
         omega=np.asarray(blob["omega"], dtype=float),
         w_star=float(blob["w_star"]),
@@ -533,5 +535,10 @@ def load_state(path, graph=None):
         nbar=np.asarray(blob["nbar"], dtype=np.int64),
     )
     if graph is not None:
+        if len(state.omega) != graph.n_nodes or len(state.nbar) != graph.n_edges:
+            raise SchemaError(
+                f"state has {len(state.omega)} weights and {len(state.nbar)} edge counts; "
+                f"the graph has {graph.n_nodes} nodes and {graph.n_edges} edges"
+            )
         state.m = compute_m(graph, state.nbar)
     return state

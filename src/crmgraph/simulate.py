@@ -3,13 +3,17 @@
 All paths target the same hierarchy: a (truncated) CRM draw gives node
 weights, the directed multigraph is Poisson given the squared total mass,
 and the undirected graph keeps one edge per connected unordered pair. The
-gamma-process urn and the Kallenberg thinning construction provide
-distributionally equivalent alternatives used for cross-validation.
+truncated path draws the CRM atoms above eps by exact Poisson thinning of
+closed-form envelopes. The gamma-process urn and the Kallenberg
+construction, which maps unit-rate marks through the numerically inverted
+tail intensity, are independent, distributionally equivalent alternatives
+used for cross-validation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 from scipy.stats import gamma as gamma_dist
 
 from .errors import DegenerateMassError, DomainError
@@ -49,31 +53,78 @@ def _first_appearance_relabel(seq):
     return rank[pos], uniq[order]
 
 
+def _crm_weights(params, eps, rng):
+    """Weights above eps of one restricted CRM draw, and the proposals made.
+
+    For tau > 0 the intensity alpha rho(w) = c w^(-1-sigma) e^(-tau w),
+    c = alpha / Gamma(1-sigma), is thinned in two pieces split at
+    b = max(eps, 1/tau), where each envelope keeps a fixed share of its
+    proposals whatever the parameters:
+
+    - on (eps, b], proposals follow the Pareto intensity c w^(-1-sigma)
+      (log-uniform at sigma = 0) and are kept with probability e^(-tau w);
+    - on (b, inf), proposals are b + Exp(lam tau) and are kept with
+      probability (w/b)^(-1-sigma) e^((1-lam) tau (b-w)) / env. For
+      sigma >= -1, lam = 1 and env = 1; below -1 the density rises past b,
+      and lam < 1 with env >= 1 keeps the envelope above it.
+
+    For tau = 0 (then 0 < sigma < 1) the tail intensity inverts in closed
+    form, so the weights are drawn directly.
+    """
+    a, s, t = params.alpha, params.sigma, params.tau
+    if t == 0.0:
+        rate = tail_intensity(params, eps)
+        k = rng.poisson(a * rate)
+        w = inv_tail_intensity(params, rng.uniform(size=k) * rate)
+        return np.maximum(w, np.nextafter(eps, np.inf)), k
+
+    log_c = np.log(a) - gammaln(1.0 - s)
+    b = max(eps, 1.0 / t)
+
+    # (eps, b]: with x = log(w/eps) for sigma >= 0, or x = log(b/w) for
+    # sigma < 0, the proposal law of x on [0, L] has cdf
+    # expm1(-|sigma| x) / expm1(-|sigma| L), which expm1 and log1p invert
+    # without cancellation as sigma -> 0 from either side
+    big_l = np.log(b / eps)
+    r = abs(s) * big_l
+    anchor = eps if s >= 0 else b
+    length = -np.expm1(-r) / abs(s) if s != 0.0 else big_l
+    n1 = rng.poisson(np.exp(log_c - s * np.log(anchor)) * length)
+    u = rng.random(n1)
+    x = -np.log1p(u * np.expm1(-r)) / abs(s) if s != 0.0 else u * big_l
+    w1 = eps * np.exp(x) if s >= 0 else b * np.exp(-x)
+    w1 = w1[rng.random(n1) < np.exp(-t * w1)]
+
+    # (b, inf), in units v = tau w with v0 = tau b >= 1: the density
+    # v^k e^(-v), k = -1-sigma, lies below v0^k e^(-v0) env e^(-lam (v-v0))
+    k = -1.0 - s
+    v0 = t * b
+    lam = 1.0 if k <= 0 else max(1.0 / (1.0 + k), 1.0 - k / v0)
+    v_top = v0 if k <= 0 else max(v0, k / (1.0 - lam))
+    log_env = k * np.log(v_top / v0) - (1.0 - lam) * (v_top - v0)
+    n2 = rng.poisson(np.exp(log_c + k * np.log(b) - v0 + log_env - np.log(lam * t)))
+    w2 = b + rng.exponential(1.0 / (lam * t), size=n2)
+    log_keep = k * np.log(w2 / b) - (1.0 - lam) * t * (w2 - b) - log_env
+    w2 = w2[rng.random(n2) < np.exp(log_keep)]
+
+    w = np.concatenate([w1, w2])
+    return np.maximum(w, np.nextafter(eps, np.inf)), n1 + n2
+
+
 def sample_crm_truncated(params, eps, rng):
     """Atoms of the restricted CRM with weights above eps.
 
-    K ~ Poisson(alpha rhobar(eps)); weights are i.i.d. from the normalized
-    restriction of rho to (eps, inf) via tail-intensity inversion;
-    locations are uniform on [0, alpha]. The mean mass below eps is
-    recorded as remainder (it never spawns edges).
+    The weights are the points of a Poisson process with intensity
+    alpha rho(w) on (eps, inf), drawn by exact Poisson thinning of two
+    closed-form envelopes for tau > 0 (no special function is evaluated
+    per atom) and by closed-form tail inversion for tau = 0; locations are
+    uniform on [0, alpha]. The mean mass below eps is recorded as remainder
+    (it never spawns edges).
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    a = params.alpha
-    if params.sigma < 0:
-        # finite activity: draw the compound Poisson exactly, then threshold
-        k = rng.poisson(-(a / params.sigma) * params.tau ** params.sigma)
-        w = rng.gamma(-params.sigma, 1.0 / params.tau, size=k)
-        w = w[w > eps]
-    else:
-        k = rng.poisson(a * tail_intensity(params, eps))
-        if k == 0:
-            w = np.empty(0)
-        else:
-            u = rng.uniform(size=k)
-            w = inv_tail_intensity(params, u * tail_intensity(params, eps))
-            w = np.maximum(w, np.nextafter(eps, np.inf))
-    theta = rng.uniform(0.0, a, size=len(w))
+    w, _ = _crm_weights(params, eps, rng)
+    theta = rng.uniform(0.0, params.alpha, size=len(w))
     return CrmSample(w, theta, remainder_mass=expected_truncation_mass(params, eps))
 
 

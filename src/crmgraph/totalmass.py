@@ -3,9 +3,9 @@
 The total mass W*_alpha of a restricted GGP is gamma distributed for
 sigma = 0, an exponentially tilted stable variable for sigma in (0, 1)
 (sampled by Devroye's double-rejection scheme), and a compound Poisson sum
-of gamma jumps for sigma < 0. Exponential tilting by c is folded
-analytically into the rate: the tilted law is the total-mass law with
-tau -> tau + c, for every sigma.
+of gamma jumps for sigma < 0, drawn as one gamma variate given the number
+of jumps. Exponential tilting by c is folded analytically into the rate:
+the tilted law is the total-mass law with tau -> tau + c, for every sigma.
 """
 
 import math
@@ -156,8 +156,9 @@ def sample_total_mass(params, rng):
     if s == 0.0:
         return float(rng.gamma(a, 1.0 / t))
     if s < 0.0:
+        # k i.i.d. Gamma(-sigma, tau) jumps sum to one Gamma(-k sigma, tau)
         k = rng.poisson(-(a / s) * t**s)
-        return float(np.sum(rng.gamma(-s, 1.0 / t, size=k)))
+        return float(rng.gamma(-k * s, 1.0 / t)) if k else 0.0
     # sigma in (0, 1): scaled, exponentially tilted stable with tilt t*scale;
     # (t*scale)^sigma = t^sigma (a/sigma) stays finite even when scale overflows
     log_scale = math.log(a / s) / s

@@ -4,7 +4,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import gammaln
 from scipy.stats import chisquare
 
-from crmgraph.errors import DomainError, InconsistentStateError, TooFewSamplesError
+from crmgraph.errors import DomainError, InconsistentStateError, SchemaError
 from crmgraph.graphs import BipartiteGraph, UndirectedGraph
 from crmgraph.inference import (
     ChainTrace,
@@ -319,8 +319,18 @@ def test_checkpoint_rejects_unknown_schema(tmp_path):
 
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"schema_version": 99}))
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(SchemaError):
         load_state(path)
+
+
+def test_checkpoint_rejects_state_of_another_graph(tmp_path):
+    state, graph = two_node_state()
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    with pytest.raises(SchemaError):
+        load_state(path, UndirectedGraph(3, [0, 1], [1, 2]))  # one node too many
+    with pytest.raises(SchemaError):
+        load_state(path, UndirectedGraph(2, [0, 0], [1, 0]))  # one edge too many
 
 
 def test_g_star_density_never_evaluated():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from crmgraph import simulate
 from crmgraph.errors import DomainError
 from crmgraph.graphs import CrmSample, UndirectedGraph
-from crmgraph.levy import levy_density, tail_intensity
+from crmgraph.levy import expected_truncation_mass, levy_density, tail_intensity
 from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import (
     SimConfig,
+    _crm_weights,
     gamma_weight_quantile,
     sample_bipartite,
     sample_compound_poisson_graph,
@@ -65,13 +68,57 @@ def test_truncated_crm_weights_exceed_eps():
 
 
 def test_finite_activity_exact_path():
-    # sigma < 0 draws the compound Poisson exactly, then thresholds
+    # sigma < 0: almost all of the Poisson(-(alpha/sigma) tau^sigma) jumps exceed eps
     p = GgpParams(10.0, -0.5, 1.0)
     rng = rng_stream(4, 0)
     counts = [len(sample_crm_truncated(p, 1e-9, rng).weights) for _ in range(4000)]
     lam = -(p.alpha / p.sigma) * p.tau**p.sigma  # nearly no mass below eps
     se = np.sqrt(lam / len(counts))
     assert abs(np.mean(counts) - lam) <= 4.0 * se
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    sigma=st.one_of(st.sampled_from([-1e-12, 0.0, 1e-12, -1.0, -3.0]),
+                    st.floats(-0.9, 0.9)),
+    log_tau=st.floats(-6.0, 6.0),
+    eps_pos=st.floats(0.0, 1.0),
+)
+def test_thinning_matches_campbell_means(sigma, log_tau, eps_pos):
+    # eps spans three decades below min(1, 1/tau) up to 20/tau, so it falls
+    # on either side of 1/tau (the thinning split) and, for tau < 1, of 1
+    tau = 10.0**log_tau
+    lo, hi = min(0.0, -log_tau) - 3.0, np.log10(20.0) - log_tau
+    eps = 10.0 ** (lo + eps_pos * (hi - lo))
+    lam = 200.0  # mean atom count, set through alpha
+    p = GgpParams(lam / tail_intensity(GgpParams(1.0, sigma, tau), eps), sigma, tau)
+    rng = rng_stream(0, 0)
+    n_draws = 60
+    counts, masses, proposed = [], [], 0
+    for _ in range(n_draws):
+        w, n_prop = _crm_weights(p, eps, rng)
+        assert np.all(np.isfinite(w)) and np.all(w > eps)
+        counts.append(len(w))
+        masses.append(w.sum())
+        proposed += n_prop
+    assert abs(np.mean(counts) - lam) <= 4.0 * np.sqrt(lam / n_draws)
+    expected = p.alpha * tau ** (sigma - 1.0) - expected_truncation_mass(p, eps)
+    se = np.std(masses, ddof=1) / np.sqrt(n_draws)
+    assert abs(np.mean(masses) - expected) <= 4.0 * se
+    assert proposed <= 3 * sum(counts)
+
+
+def test_thinning_never_inverts_the_tail(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tail inversion called for tau > 0")
+
+    monkeypatch.setattr(simulate, "inv_tail_intensity", refuse)
+    rng = rng_stream(15, 0)
+    for sigma in (-2.0, -0.5, 0.0, 0.5):
+        assert len(sample_crm_truncated(GgpParams(50.0, sigma, 1.0), 1e-4, rng).weights)
+    # the patch is live: tau = 0 still inverts the tail in closed form
+    with pytest.raises(AssertionError):
+        sample_crm_truncated(GgpParams(50.0, 0.5, 0.0), 1e-4, rng)
 
 
 def test_directed_conditional_moments():

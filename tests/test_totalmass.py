@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
@@ -68,6 +71,25 @@ def test_compound_poisson_case_moments():
     se = x.std(ddof=1) / np.sqrt(len(x))
     assert abs(x.mean() - expected) <= 4.0 * se
     assert np.any(x == 0.0)  # finite activity can produce an empty measure
+
+
+def test_near_zero_negative_sigma_is_constant_cost():
+    # about 1e7 jumps of Gamma(1e-5, tau): the sum is drawn without them
+    p = GgpParams(100.0, -1e-5, 2.0)
+    rng = rng_stream(6, 0)
+    tracemalloc.start()
+    try:
+        sample_total_mass(p, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    start = time.perf_counter()
+    x = draw_many(p, 4000, seed=6)
+    assert time.perf_counter() - start < 10.0
+    expected = p.alpha * p.tau ** (p.sigma - 1.0)
+    se = x.std(ddof=1) / np.sqrt(len(x))
+    assert abs(x.mean() - expected) <= 4.0 * se
 
 
 def test_tiny_sigma_does_not_overflow():
