@@ -64,7 +64,7 @@ from .levy import (
     levy_density,
     tail_intensity,
 )
-from .params import GgpParams, TiltedStableSpec, rng_stream, validate_params
+from .params import GgpParams, rng_stream
 from .simulate import (
     SimConfig,
     sample_bipartite,

@@ -49,8 +49,6 @@ def _add_fit_args(p):
     p.add_argument("--rw-sd", type=float, default=0.02)
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--latent-mode", choices=("exact", "mh"), default="exact")
-    p.add_argument("--priors", choices=("improper", "lognormal"), default="improper")
 
 
 def build_parser():
@@ -134,8 +132,6 @@ def _fit(args):
         rw_sd=args.rw_sd,
         thin=args.thin,
         seed=args.seed,
-        latent_mode=args.latent_mode,
-        priors=args.priors,
     )
     return graph, run_chains(graph, cfg)
 
@@ -173,10 +169,8 @@ def _cmd_test_sparsity(args):
 def _cmd_ppc(args):
     traces = read_trace_csv(args.trace)
     observed = read_edge_list(args.graph).graph if args.graph else None
-    sim_cfg = SimConfig(params=GgpParams(1.0, 0.0, 1.0), truncation_eps=args.eps,
-                        seed=args.seed)
     bands = posterior_predictive_degrees(
-        traces, args.n_draws, sim_cfg, observed=observed, seed=args.seed
+        traces, args.n_draws, args.eps, observed=observed, seed=args.seed
     )
     with open(args.out, "w", newline="") as fh:
         wr = csv.writer(fh)

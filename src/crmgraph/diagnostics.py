@@ -157,11 +157,11 @@ def _binned_degree_counts(degree, lo, hi):
     return counts
 
 
-def posterior_predictive_degrees(traces, n_draws, sim_config, observed=None, seed=0):
+def posterior_predictive_degrees(traces, n_draws, eps, observed=None, seed=0):
     """Degree-count quantile bands from the posterior predictive.
 
     Draws n_draws hyperparameter triples from the pooled trace, simulates a
-    graph for each, and returns per-bin (2.5%, 50%, 97.5%) quantiles of the
+    graph for each by truncation at eps, and returns per-bin (2.5%, 50%, 97.5%) quantiles of the
     binned degree counts. When an observed graph is supplied its binned
     counts are appended for plotting.
     """
@@ -180,10 +180,8 @@ def posterior_predictive_degrees(traces, n_draws, sim_config, observed=None, see
     for t, i in enumerate(idx):
         cfg = SimConfig(
             params=GgpParams(float(alpha[i]), float(sigma[i]), float(tau[i])),
-            truncation_eps=sim_config.truncation_eps,
+            truncation_eps=eps,
             seed=seed,
-            path=sim_config.path,
-            include_self_loops=sim_config.include_self_loops,
         )
         z, _ = sample_undirected_ggp(cfg, rng=rng_stream(seed, 10_001 + t))
         graphs.append(z)

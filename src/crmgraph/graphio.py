@@ -1,16 +1,21 @@
-"""Edge-list ingestion, trace serialization, and run configuration files."""
+"""Edge-list ingestion, trace serialization, and provenance sidecars."""
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyGraphError, ParseError, SchemaError
-from .graphs import BipartiteGraph, DirectedMultigraph, UndirectedGraph
+from .graphs import (
+    BipartiteGraph,
+    DirectedMultigraph,
+    UndirectedGraph,
+    _first_appearance_relabel,
+)
 
 TRACE_HEADER = ["iteration", "chain", "alpha", "sigma", "tau", "w_star", "log_post"]
-CONFIG_SCHEMA_VERSION = 1
+SIDECAR_SCHEMA_VERSION = 1
 COMMENT_PREFIXES = ("#", "%")
 
 
@@ -62,14 +67,10 @@ def read_edge_list(source):
     if not pairs:
         raise EmptyGraphError(f"no edges found in {source.path}")
 
-    id_map = {}
-    edges = np.empty((len(pairs), 2), dtype=np.int64)
-    for k, (a, b) in enumerate(pairs):
-        for pos, x in enumerate((a, b)):
-            if x not in id_map:
-                id_map[x] = len(id_map)
-            edges[k, pos] = id_map[x]
-    n = len(id_map)
+    labels, ids = _first_appearance_relabel(np.asarray(pairs).ravel())
+    edges = labels.reshape(-1, 2)
+    id_map = dict(zip(ids.tolist(), range(len(ids))))
+    n = len(ids)
 
     if source.directed:
         keys = edges[:, 0] * n + edges[:, 1]
@@ -92,19 +93,17 @@ def read_bipartite_edge_list(source):
     pairs, _ = _parse_lines(source.path, tuple(source.comment_prefixes))
     if not pairs:
         raise EmptyGraphError(f"no edges found in {source.path}")
-    left_map, right_map = {}, {}
-    li, ri = [], []
-    for a, b in pairs:
-        if a not in left_map:
-            left_map[a] = len(left_map)
-        if b not in right_map:
-            right_map[b] = len(right_map)
-        li.append(left_map[a])
-        ri.append(right_map[b])
-    n_r = len(right_map)
-    keys = np.unique(np.asarray(li, dtype=np.int64) * n_r + np.asarray(ri, dtype=np.int64))
-    graph = BipartiteGraph(len(left_map), n_r, keys // n_r, keys % n_r)
-    return IngestResult(graph=graph, id_map={"left": left_map, "right": right_map})
+    pairs = np.asarray(pairs)
+    li, left_ids = _first_appearance_relabel(pairs[:, 0])
+    ri, right_ids = _first_appearance_relabel(pairs[:, 1])
+    n_r = len(right_ids)
+    keys = np.unique(li * n_r + ri)
+    graph = BipartiteGraph(len(left_ids), n_r, keys // n_r, keys % n_r)
+    id_map = {
+        "left": dict(zip(left_ids.tolist(), range(len(left_ids)))),
+        "right": dict(zip(right_ids.tolist(), range(n_r))),
+    }
+    return IngestResult(graph=graph, id_map=id_map)
 
 
 def write_edge_list(graph, path, header=None):
@@ -170,63 +169,11 @@ def read_trace_csv(path):
     return traces
 
 
-_CONFIG_KEYS = {
-    "schema_version", "alpha", "sigma", "tau", "eps", "seed", "path",
-    "include_self_loops", "n_iter", "n_chains", "leapfrog_steps",
-    "target_accept", "adapt_iters", "rw_sd", "thin", "latent_mode", "priors",
-    "omega_record_stride", "output",
-}
-
-_CONFIG_DEFAULTS = {
-    "eps": 1e-6,
-    "seed": 0,
-    "path": "truncated",
-    "include_self_loops": True,
-    "n_chains": 3,
-    "leapfrog_steps": 10,
-    "target_accept": 0.6,
-    "adapt_iters": None,
-    "rw_sd": 0.02,
-    "thin": 1,
-    "latent_mode": "exact",
-    "priors": "improper",
-    "omega_record_stride": 0,
-    "output": None,
-}
-
-
-def load_run_config(path):
-    """Versioned JSON run configuration; unknown keys are rejected."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise SchemaError(
-            f"unsupported config schema_version {doc.get('schema_version')!r}"
-        )
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-    out = dict(_CONFIG_DEFAULTS)
-    out.update(doc)
-    return out
-
-
-def save_run_config(doc, path):
-    doc = dict(doc)
-    doc["schema_version"] = CONFIG_SCHEMA_VERSION
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_sidecar(out_path, fields):
     """Provenance metadata for a generated artifact."""
     from . import __version__
 
-    doc = {"schema_version": CONFIG_SCHEMA_VERSION, "library_version": __version__}
+    doc = {"schema_version": SIDECAR_SCHEMA_VERSION, "library_version": __version__}
     doc.update(fields)
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

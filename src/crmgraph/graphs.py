@@ -126,14 +126,21 @@ class CrmSample:
         return float(self.weights.sum())
 
 
+def _first_appearance_relabel(seq):
+    """Map values of seq to contiguous ids in order of first appearance."""
+    uniq, first = np.unique(seq, return_index=True)
+    order = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq))
+    pos = np.searchsorted(uniq, seq)
+    return rank[pos], uniq[order]
+
+
 def to_undirected(d):
     """Undirected restriction: edge {i, j} iff n_ij + n_ji > 0."""
-    lo = np.minimum(d.src, d.dst)
-    hi = np.maximum(d.src, d.dst)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    if pairs.size == 0:
-        return UndirectedGraph(d.n_nodes, np.empty(0, np.int64), np.empty(0, np.int64))
-    return UndirectedGraph(d.n_nodes, pairs[:, 0], pairs[:, 1])
+    n = d.n_nodes
+    keys = np.unique(np.minimum(d.src, d.dst) * n + np.maximum(d.src, d.dst))
+    return UndirectedGraph(n, keys // n, keys % n)
 
 
 def degree_histogram(z):

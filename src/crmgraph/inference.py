@@ -5,8 +5,9 @@ hyperparameters, latent directed counts) given an undirected graph:
 HMC updates the log-weights, a joint Metropolis-Hastings block with an
 exponentially tilted total-mass proposal updates (alpha, sigma, tau, w*)
 without ever evaluating the intractable total-mass density, and the
-latent counts are refreshed from their zero-truncated Poisson conditional
-(or a +-1 random walk). A conjugate Gibbs sweep handles bipartite graphs.
+latent counts are drawn from their zero-truncated Poisson conditional.
+The hyperparameters carry improper 1/x priors. A conjugate Gibbs sweep
+handles bipartite graphs.
 """
 
 import json
@@ -16,9 +17,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, InconsistentStateError, SchemaError
-from .params import rng_stream
+from .levy import laplace_exponent, log_kappa
+from .params import GgpParams, rng_stream
 from .totalmass import sample_tilted_total_mass, sample_truncated_poisson
-from .params import GgpParams, TiltedStableSpec
 
 STATE_SCHEMA_VERSION = 1
 
@@ -33,7 +34,6 @@ class McmcState:
     sigma: float
     tau: float
     nbar: np.ndarray           # latent counts per undirected edge, >= 1
-    m: np.ndarray = None       # per-node exponent, derived from nbar
 
     def weights(self):
         return np.exp(self.omega)
@@ -49,20 +49,13 @@ class McmcConfig:
     rw_sd: float = 0.02
     thin: int = 1
     seed: int = 0
-    latent_mode: str = "exact"      # exact | mh
-    priors: str = "improper"        # improper | lognormal
     omega_record_stride: int = 0    # 0 disables log-weight snapshots
-    init: dict = None
 
     def __post_init__(self):
         if self.n_iter < 0 or self.thin < 1 or self.leapfrog_steps < 1:
             raise DomainError("n_iter >= 0, thin >= 1, leapfrog_steps >= 1 required")
         if not 0.0 < self.target_accept < 1.0:
             raise DomainError("target_accept must be in (0, 1)")
-        if self.latent_mode not in ("exact", "mh"):
-            raise DomainError(f"unknown latent mode {self.latent_mode!r}")
-        if self.priors not in ("improper", "lognormal"):
-            raise DomainError(f"unknown prior family {self.priors!r}")
         if self.adapt_iters is None:
             self.adapt_iters = self.n_iter // 4
 
@@ -87,13 +80,6 @@ class ChainTrace:
         return self.records[name]
 
 
-def _psi(sigma, tau, t):
-    """Laplace exponent per unit alpha for arbitrary sigma < 1, tau > 0, t >= 0."""
-    if sigma == 0.0:
-        return np.log1p(t / tau)
-    return ((t + tau) ** sigma - tau**sigma) / sigma
-
-
 def compute_m(graph, nbar):
     """Per-node exponent m_i from latent edge counts; a self count contributes 2."""
     m = np.bincount(graph.edge_i, weights=nbar, minlength=graph.n_nodes)
@@ -106,18 +92,15 @@ def _check_state(state, graph):
         raise InconsistentStateError("latent count vector does not match the edge list")
     if np.any(state.nbar < 1):
         raise InconsistentStateError("latent counts must be >= 1 on edges")
-    m = compute_m(graph, state.nbar)
-    if state.m is None:
-        state.m = m
-    elif not np.array_equal(m, state.m):
-        raise InconsistentStateError("cached m disagrees with latent counts")
 
 
-def _log_target_omega(omega, m, sigma, tau, w_star):
-    # terms of the log posterior that depend on omega, Jacobian included
+def _log_target_and_grad(omega, m, sigma, tau, w_star):
+    """Terms of the log posterior that depend on omega, Jacobian included,
+    and their gradient m_i - sigma - w_i (tau + 2 sum_j w_j + 2 w*)."""
     w = np.exp(omega)
     s = w.sum()
-    return float(np.dot(m - sigma, omega) - tau * s - (s + w_star) ** 2)
+    value = float(np.dot(m - sigma, omega) - tau * s - (s + w_star) ** 2)
+    return value, m - sigma - w * (tau + 2.0 * s + 2.0 * w_star)
 
 
 def log_posterior(state, graph):
@@ -127,67 +110,42 @@ def log_posterior(state, graph):
     sum_i omega_i of the log parameterization.
     """
     _check_state(state, graph)
-    n = len(state.omega)
-    return (
-        _log_target_omega(state.omega, state.m, state.sigma, state.tau, state.w_star)
-        - n * gammaln(1.0 - state.sigma)
-    )
+    value, _ = _log_target_and_grad(
+        state.omega, compute_m(graph, state.nbar), state.sigma, state.tau, state.w_star)
+    return value - len(state.omega) * gammaln(1.0 - state.sigma)
 
 
-def grad_log_posterior(state):
+def grad_log_posterior(state, graph):
     """Gradient in omega: m_i - sigma - w_i (tau + 2 sum_j w_j + 2 w*)."""
-    w = np.exp(state.omega)
-    return state.m - state.sigma - w * (state.tau + 2.0 * w.sum() + 2.0 * state.w_star)
-
-
-def _grad_omega(omega, m, sigma, tau, w_star):
-    w = np.exp(omega)
-    return m - sigma - w * (tau + 2.0 * w.sum() + 2.0 * w_star)
+    _check_state(state, graph)
+    _, grad = _log_target_and_grad(
+        state.omega, compute_m(graph, state.nbar), state.sigma, state.tau, state.w_star)
+    return grad
 
 
 def hmc_update(state, graph, n_steps, stepsize, rng):
     """One Hamiltonian update of the log-weights; returns acceptance flag."""
-    _check_state(state, graph)
-    m, sigma, tau, w_star = state.m, state.sigma, state.tau, state.w_star
+    target = (compute_m(graph, state.nbar), state.sigma, state.tau, state.w_star)
     omega = state.omega
     p0 = rng.standard_normal(len(omega))
 
-    p = p0 + 0.5 * stepsize * _grad_omega(omega, m, sigma, tau, w_star)
-    q = omega.copy()
+    log_p0, grad = _log_target_and_grad(omega, *target)
+    p = p0 + 0.5 * stepsize * grad
+    q = omega
     for _ in range(n_steps - 1):
         q = q + stepsize * p
-        p = p + stepsize * _grad_omega(q, m, sigma, tau, w_star)
+        p = p + stepsize * _log_target_and_grad(q, *target)[1]
     q = q + stepsize * p
-    p = -(p + 0.5 * stepsize * _grad_omega(q, m, sigma, tau, w_star))
+    log_p, grad = _log_target_and_grad(q, *target)
+    p = -(p + 0.5 * stepsize * grad)
 
-    log_r = (
-        _log_target_omega(q, m, sigma, tau, w_star)
-        - _log_target_omega(omega, m, sigma, tau, w_star)
-        - 0.5 * (np.dot(p, p) - np.dot(p0, p0))
-    )
+    log_r = log_p - log_p0 - 0.5 * (np.dot(p, p) - np.dot(p0, p0))
     if not np.isfinite(log_r):
         return state, False
     if np.log(rng.uniform()) < log_r:
         state.omega = q
         return state, True
     return state, False
-
-
-def _log_prior_ratio(config, new, old):
-    """Correction when replacing the improper 1/x priors by proper lognormals."""
-    if config.priors == "improper":
-        return 0.0
-    # lognormal(0, 10) on alpha and tau, on 1 - sigma
-    def lp(alpha, sigma, tau):
-        out = 0.0
-        for x in (alpha, tau, 1.0 - sigma):
-            out += -np.log(x) - (np.log(x) ** 2) / 200.0
-        return out
-
-    def lp_improper(alpha, sigma, tau):
-        return -np.log(alpha) - np.log(1.0 - sigma) - np.log(tau)
-
-    return (lp(*new) - lp(*old)) - (lp_improper(*new) - lp_improper(*old))
 
 
 def hyper_update(state, config, rng):
@@ -207,22 +165,22 @@ def hyper_update(state, config, rng):
     tau_p = tau * np.exp(config.rw_sd * rng.standard_normal())
     sigma_p = 1.0 - (1.0 - sigma) * np.exp(config.rw_sd * rng.standard_normal())
     tilt = 2.0 * s_w + w_star
-    rate_p = _psi(sigma_p, tau_p, tilt)
+    # psi is per unit alpha, so these shapes carry alpha = 1
+    shape, shape_p = GgpParams(1.0, sigma, tau), GgpParams(1.0, sigma_p, tau_p)
+    rate_p = laplace_exponent(shape_p, tilt)
     alpha_p = float(rng.gamma(n, 1.0 / rate_p))
     if alpha_p <= 0.0 or not np.isfinite(alpha_p):
         return state, False
-    spec = TiltedStableSpec(GgpParams(alpha_p, sigma_p, tau_p), tilt)
-    w_star_p = sample_tilted_total_mass(spec, rng)
+    w_star_p = sample_tilted_total_mass(GgpParams(alpha_p, sigma_p, tau_p), tilt, rng)
 
     log_r = (
         -((s_w + w_star_p) ** 2) + (s_w + w_star) ** 2
         - (tau_p - tau + 2.0 * w_star - 2.0 * w_star_p) * s_w
         + (sigma - sigma_p) * sum_log_w
         + n * (
-            gammaln(1.0 - sigma) + np.log(_psi(sigma, tau, 2.0 * s_w + w_star_p))
-            - gammaln(1.0 - sigma_p) - np.log(_psi(sigma_p, tau_p, tilt))
+            gammaln(1.0 - sigma) + np.log(laplace_exponent(shape, 2.0 * s_w + w_star_p))
+            - gammaln(1.0 - sigma_p) - np.log(laplace_exponent(shape_p, tilt))
         )
-        + _log_prior_ratio(config, (alpha_p, sigma_p, tau_p), (state.alpha, sigma, tau))
     )
     if not np.isfinite(log_r):
         return state, False
@@ -241,56 +199,31 @@ def latent_rates(state, graph):
     return rate
 
 
-def latent_update(state, graph, mode, rng):
-    """Refresh the latent edge counts, exactly or by a +-1 random walk."""
-    rate = latent_rates(state, graph)
-    if mode == "exact":
-        state.nbar = sample_truncated_poisson(rate, rng)
-    else:
-        nbar = state.nbar
-        at_one = nbar == 1
-        up = rng.uniform(size=len(nbar)) < 0.5
-        prop = np.where(at_one, nbar + 1, np.where(up, nbar + 1, nbar - 1))
-        log_q = np.zeros(len(nbar))
-        log_q[at_one] = np.log(0.5)                # q(1|2)/q(2|1)
-        down_to_one = (nbar == 2) & (prop == 1)
-        log_q[down_to_one] = np.log(2.0)           # q(2|1)/q(1|2)
-        log_acc = (
-            (prop - nbar) * np.log(rate)
-            + gammaln(nbar + 1.0) - gammaln(prop + 1.0)
-            + log_q
-        )
-        accept = np.log(rng.uniform(size=len(nbar))) < log_acc
-        state.nbar = np.where(accept, prop, nbar)
-    state.m = compute_m(graph, state.nbar)
+def latent_update(state, graph, rng):
+    """Draw the latent edge counts from their zero-truncated Poisson conditional."""
+    state.nbar = sample_truncated_poisson(latent_rates(state, graph), rng)
     return state
 
 
-def init_state(graph, config, rng):
+def init_state(graph, rng):
     """Starting point: degree-proportional weights, sigma near 0, tau near 1."""
-    overrides = config.init or {}
     deg = graph.degree.astype(float)
     total_deg = deg.sum()
     w0 = deg / np.sqrt(total_deg)
     w0 = w0 * np.exp(0.2 * rng.standard_normal())   # chain-to-chain spread
-    sigma0 = overrides.get("sigma", float(np.clip(0.1 * rng.standard_normal(), -0.8, 0.8)))
-    tau0 = overrides.get("tau", float(np.exp(0.1 * rng.standard_normal())))
-    w_star0 = overrides.get("w_star", 0.1)
+    sigma0 = float(np.clip(0.1 * rng.standard_normal(), -0.8, 0.8))
+    tau0 = float(np.exp(0.1 * rng.standard_normal()))
+    w_star0 = 0.1
     s_w = w0.sum()
-    alpha0 = overrides.get(
-        "alpha", graph.n_nodes / _psi(sigma0, tau0, 2.0 * s_w + w_star0)
-    )
-    nbar = np.ones(graph.n_edges, dtype=np.int64)
-    state = McmcState(
+    alpha0 = graph.n_nodes / laplace_exponent(GgpParams(1.0, sigma0, tau0), 2.0 * s_w + w_star0)
+    return McmcState(
         omega=np.log(np.maximum(w0, 1e-10)),
         w_star=float(w_star0),
         alpha=float(alpha0),
         sigma=float(sigma0),
         tau=float(tau0),
-        nbar=nbar,
+        nbar=np.ones(graph.n_edges, dtype=np.int64),
     )
-    state.m = compute_m(graph, nbar)
-    return state
 
 
 class _DualAveraging:
@@ -333,8 +266,8 @@ def run_chain(graph, config, rng=None, chain_id=0):
         raise DomainError("inference requires a graph with at least one edge")
     if rng is None:
         rng = rng_stream(config.seed, chain_id)
-    state = init_state(graph, config, rng)
-    latent_update(state, graph, "exact", rng)       # start latent at its conditional
+    state = init_state(graph, rng)
+    latent_update(state, graph, rng)                # start latent at its conditional
 
     burn = min(config.adapt_iters, config.n_iter)
     eps0 = 0.1 / max(len(state.omega), 1) ** 0.25
@@ -353,7 +286,7 @@ def run_chain(graph, config, rng=None, chain_id=0):
         if adapting:
             adapter.update(acc_hmc)
         state, acc_hyp = hyper_update(state, config, rng)
-        state = latent_update(state, graph, config.latent_mode, rng)
+        state = latent_update(state, graph, rng)
         accept["hmc"] += acc_hmc
         accept["hyper"] += acc_hyp
         if not adapting:
@@ -412,9 +345,9 @@ def bipartite_log_marginal(alpha, sigma, tau, m, t_other):
 
     -alpha psi(T') + N log alpha + sum_i log kappa(m_i, T') for the GGP.
     """
-    n = len(m)
-    log_kap = gammaln(m - sigma) - gammaln(1.0 - sigma) + (sigma - m) * np.log(t_other + tau)
-    return -alpha * _psi(sigma, tau, t_other) + n * np.log(alpha) + float(log_kap.sum())
+    p = GgpParams(alpha, sigma, tau)
+    return (-alpha * laplace_exponent(p, t_other) + len(m) * np.log(alpha)
+            + float(log_kappa(p, m, t_other).sum()))
 
 
 def _bipartite_side_update(w, w_star, alpha, sigma, tau, m, t_other, config, rng,
@@ -434,8 +367,7 @@ def _bipartite_side_update(w, w_star, alpha, sigma, tau, m, t_other, config, rng
 
     rate = tau + t_other
     w = rng.gamma(np.asarray(m, dtype=float) - sigma, 1.0 / rate)
-    spec = TiltedStableSpec(GgpParams(alpha, sigma, tau), t_other)
-    w_star = sample_tilted_total_mass(spec, rng)
+    w_star = sample_tilted_total_mass(GgpParams(alpha, sigma, tau), t_other, rng)
     return w, w_star, alpha, sigma, tau, accepted
 
 
@@ -519,8 +451,8 @@ def save_state(state, path):
 def load_state(path, graph=None):
     """Read an McmcState written by save_state.
 
-    Given the graph, the state's sizes are checked against it and the
-    per-node counts m are rebuilt from the latent edge counts.
+    Given the graph, the state's sizes and latent counts are checked
+    against it.
     """
     with open(path) as fh:
         blob = json.load(fh)
@@ -540,5 +472,5 @@ def load_state(path, graph=None):
                 f"state has {len(state.omega)} weights and {len(state.nbar)} edge counts; "
                 f"the graph has {graph.n_nodes} nodes and {graph.n_edges} edges"
             )
-        state.m = compute_m(graph, state.nbar)
+        _check_state(state, graph)
     return state

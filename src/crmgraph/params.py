@@ -42,23 +42,6 @@ class GgpParams:
         return GgpParams(self.alpha, self.sigma, self.tau + c)
 
 
-def validate_params(alpha, sigma, tau):
-    """Validate (alpha, sigma, tau) and return a GgpParams instance."""
-    return GgpParams(float(alpha), float(sigma), float(tau))
-
-
-@dataclass(frozen=True)
-class TiltedStableSpec:
-    """Total-mass law of `base` tilted by exp(-tilt * w)."""
-
-    base: GgpParams
-    tilt: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tilt) and self.tilt >= 0):
-            raise OutOfRegionError(f"tilt must be >= 0, got {self.tilt}")
-
-
 def rng_stream(seed, stream=0):
     """Counter-based generator keyed by (seed, stream id).
 

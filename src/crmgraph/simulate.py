@@ -17,7 +17,14 @@ from scipy.special import gammaln
 from scipy.stats import gamma as gamma_dist
 
 from .errors import DegenerateMassError, DomainError
-from .graphs import BipartiteGraph, CrmSample, DirectedMultigraph, UndirectedGraph, to_undirected
+from .graphs import (
+    BipartiteGraph,
+    CrmSample,
+    DirectedMultigraph,
+    UndirectedGraph,
+    _first_appearance_relabel,
+    to_undirected,
+)
 from .levy import expected_truncation_mass, inv_tail_intensity, tail_intensity
 from .params import GgpParams, rng_stream
 
@@ -41,16 +48,6 @@ class SimConfig:
             raise DomainError(f"unknown simulation path {self.path!r}")
         if self.path == "urn" and self.params.sigma != 0.0:
             raise DomainError("the urn path is exact only for sigma = 0")
-
-
-def _first_appearance_relabel(seq):
-    """Map values of seq to contiguous ids in order of first appearance."""
-    uniq, first = np.unique(seq, return_index=True)
-    order = np.argsort(first)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    pos = np.searchsorted(uniq, seq)
-    return rank[pos], uniq[order]
 
 
 def _crm_weights(params, eps, rng):

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .params import GgpParams
+from .errors import DomainError, OutOfRegionError
 
 
 def _stable_std(rng, alpha):
@@ -156,8 +155,11 @@ def sample_total_mass(params, rng):
     if s == 0.0:
         return float(rng.gamma(a, 1.0 / t))
     if s < 0.0:
-        # k i.i.d. Gamma(-sigma, tau) jumps sum to one Gamma(-k sigma, tau)
-        k = rng.poisson(-(a / s) * t**s)
+        # k i.i.d. Gamma(-sigma, tau) jumps sum to one Gamma(-k sigma, tau).
+        # numpy's Poisson stops near 9.2e18; from 1e18 on, k is drawn from
+        # its normal limit, whose CDF is within 1e-9 of Poisson(lam)'s.
+        lam = -(a / s) * t**s
+        k = rng.poisson(lam) if lam < 1e18 else rng.normal(lam, math.sqrt(lam))
         return float(rng.gamma(-k * s, 1.0 / t)) if k else 0.0
     # sigma in (0, 1): scaled, exponentially tilted stable with tilt t*scale;
     # (t*scale)^sigma = t^sigma (a/sigma) stays finite even when scale overflows
@@ -166,10 +168,11 @@ def sample_total_mass(params, rng):
     return math.exp(log_scale + _log_exp_tilted_stable_std(rng, s, lam_alpha))
 
 
-def sample_tilted_total_mass(spec, rng):
+def sample_tilted_total_mass(params, tilt, rng):
     """Draw from the density proportional to exp(-tilt * w) g*_{alpha,sigma,tau}(w)."""
-    base = spec.base
-    return sample_total_mass(base.with_tilt(spec.tilt), rng)
+    if not (np.isfinite(tilt) and tilt >= 0):
+        raise OutOfRegionError(f"tilt must be >= 0, got {tilt}")
+    return sample_total_mass(params.with_tilt(tilt), rng)
 
 
 def sample_truncated_poisson(rate, rng, size=None):

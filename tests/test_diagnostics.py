@@ -212,9 +212,8 @@ def test_degree_bins_structure():
 
 def test_ppc_requires_draws():
     t = make_trace(n=50)
-    cfg = SimConfig(params=GgpParams(1, 0.5, 1), truncation_eps=1e-3)
     with pytest.raises(TooFewSamplesError):
-        posterior_predictive_degrees([t], 0, cfg)
+        posterior_predictive_degrees([t], 0, 1e-3)
 
 
 def test_ppc_bands_and_observed():
@@ -225,12 +224,11 @@ def test_ppc_bands_and_observed():
         "sigma": np.full(n, 0.5),
         "tau": np.full(n, 1.0),
     })
-    cfg = SimConfig(params=GgpParams(30, 0.5, 1), truncation_eps=1e-3)
     from crmgraph.simulate import sample_undirected_ggp
 
     observed, _ = sample_undirected_ggp(SimConfig(
         params=GgpParams(30, 0.5, 1), truncation_eps=1e-3, seed=99))
-    bands = posterior_predictive_degrees([t], 40, cfg, observed=observed, seed=1)
+    bands = posterior_predictive_degrees([t], 40, 1e-3, observed=observed, seed=1)
     assert np.all(bands["lo"] <= bands["median"])
     assert np.all(bands["median"] <= bands["hi"])
     assert "observed" in bands
@@ -250,9 +248,8 @@ def test_ppc_bands_widen_with_posterior_spread():
         "sigma": np.clip(0.5 + 0.2 * rng.standard_normal(n), 0.05, 0.9),
         "tau": np.abs(1.0 + 0.3 * rng.standard_normal(n)),
     })
-    cfg = SimConfig(params=GgpParams(30, 0.5, 1), truncation_eps=1e-3)
-    b1 = posterior_predictive_degrees([narrow], 50, cfg, seed=2)
-    b2 = posterior_predictive_degrees([wide], 50, cfg, seed=2)
+    b1 = posterior_predictive_degrees([narrow], 50, 1e-3, seed=2)
+    b2 = posterior_predictive_degrees([wide], 50, 1e-3, seed=2)
     k = min(len(b1["lo"]), len(b2["lo"]))
     width1 = b1["hi"][:k] - b1["lo"][:k]
     width2 = b2["hi"][:k] - b2["lo"][:k]

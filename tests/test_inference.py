@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.special import gammaln
-from scipy.stats import chisquare
 
 from crmgraph.errors import DomainError, InconsistentStateError, SchemaError
 from crmgraph.graphs import BipartiteGraph, UndirectedGraph
@@ -73,8 +72,7 @@ def test_log_posterior_brute_force_oracle():
 
 def test_gradient_hand_value():
     state, graph = two_node_state()
-    log_posterior(state, graph)  # populates m
-    g = grad_log_posterior(state)
+    g = grad_log_posterior(state, graph)
     # m - sigma - w (tau + 2 sum w + 2 w*) = 1 - 0.5 - 1 * 5
     np.testing.assert_allclose(g, [-4.5, -4.5], rtol=1e-14)
 
@@ -90,10 +88,7 @@ def test_gradient_matches_finite_differences():
             np.log(w), rng.uniform(0, 1), 1.0,
             rng.uniform(-1, 0.9), rng.uniform(0.5, 2), nbar,
         )
-        grad = grad_log_posterior(
-            McmcState(state.omega, state.w_star, 1.0, state.sigma, state.tau,
-                      nbar, m=compute_m(graph, nbar))
-        )
+        grad = grad_log_posterior(state, graph)
         for i in range(4):
             up = state.omega.copy()
             up[i] += h
@@ -106,13 +101,14 @@ def test_gradient_matches_finite_differences():
 
 
 def test_state_consistency_checks():
-    state, graph = two_node_state()
-    state.m = np.array([2, 2])  # wrong: true m is (1, 1)
+    state, graph = two_node_state(nbar=(1, 1))  # wrong latent length
     with pytest.raises(InconsistentStateError):
         log_posterior(state, graph)
-    state2, _ = two_node_state(nbar=(1, 1))  # wrong latent length
     with pytest.raises(InconsistentStateError):
-        log_posterior(state2, graph)
+        grad_log_posterior(state, graph)
+    state, graph = two_node_state(nbar=(0,))  # latent count below 1
+    with pytest.raises(InconsistentStateError):
+        log_posterior(state, graph)
 
 
 def test_compute_m_self_loop_counts_twice():
@@ -122,10 +118,14 @@ def test_compute_m_self_loop_counts_twice():
 
 
 def test_hmc_preserves_two_node_posterior():
-    # fixed hyperparameters and latents: compare the HMC-only chain against
-    # 2-D quadrature of the unnormalized density in w
+    # fixed hyperparameters and latents: compare the production HMC kernel
+    # against 2-D quadrature of the unnormalized density in w. A self-loop
+    # adds 2 to m, so edges (0,0), (0,1) with unit counts give m = (3, 1).
     sigma, tau, w_star = 0.3, 1.0, 0.2
-    m = np.array([2, 1])
+    graph = UndirectedGraph(2, [0, 0], [0, 1])
+    state = McmcState(np.log([0.5, 0.5]), w_star, 1.0, sigma, tau, np.array([1, 1]))
+    m = compute_m(graph, state.nbar)
+    np.testing.assert_array_equal(m, [3, 1])
 
     def dens(w1, w2):
         return (
@@ -139,30 +139,12 @@ def test_hmc_preserves_two_node_posterior():
 
     rng = rng_stream(100, 0)
     draws = []
-    omega = np.log(np.array([0.5, 0.5]))
-    from crmgraph.inference import _grad_omega, _log_target_omega
-
-    eps, L = 0.15, 10
     n_acc = 0
     for it in range(40000):
-        p0 = rng.standard_normal(2)
-        p = p0 + 0.5 * eps * _grad_omega(omega, m, sigma, tau, w_star)
-        q = omega.copy()
-        for _ in range(L - 1):
-            q = q + eps * p
-            p = p + eps * _grad_omega(q, m, sigma, tau, w_star)
-        q = q + eps * p
-        p = -(p + 0.5 * eps * _grad_omega(q, m, sigma, tau, w_star))
-        log_r = (
-            _log_target_omega(q, m, sigma, tau, w_star)
-            - _log_target_omega(omega, m, sigma, tau, w_star)
-            - 0.5 * (p @ p - p0 @ p0)
-        )
-        if np.log(rng.uniform()) < log_r:
-            omega = q
-            n_acc += 1
+        state, accepted = hmc_update(state, graph, 10, 0.15, rng)
+        n_acc += accepted
         if it >= 2000:
-            draws.append(np.exp(omega[0]))
+            draws.append(np.exp(state.omega[0]))
     assert n_acc / 40000 > 0.3
     assert np.mean(draws) == pytest.approx(expected, rel=0.02)
 
@@ -173,43 +155,12 @@ def test_latent_exact_mean():
     rng = rng_stream(101, 0)
     vals = []
     for _ in range(20000):
-        latent_update(state, graph, "exact", rng)
+        latent_update(state, graph, rng)
         vals.append(state.nbar[0])
     expected = 2.0 / (1.0 - np.exp(-2.0))
     assert expected == pytest.approx(2.3130352854993312, rel=1e-12)
     se = np.std(vals, ddof=1) / np.sqrt(len(vals))
     assert abs(np.mean(vals) - expected) <= 4.0 * se
-
-
-def test_latent_mh_matches_exact_distribution():
-    # chi-square between the MH-equilibrium histogram and the exact pmf
-    state, graph = two_node_state(w=(1.0, 1.0))
-    rng = rng_stream(102, 0)
-    counts = {}
-    for it in range(30000):
-        latent_update(state, graph, "mh", rng)
-        if it >= 1000:
-            k = int(state.nbar[0])
-            counts[k] = counts.get(k, 0) + 1
-    lam = 2.0
-    ks = sorted(counts)
-    obs = np.array([counts[k] for k in ks], dtype=float)
-    import math
-
-    pmf = np.array([lam**k / (math.factorial(k) * np.expm1(lam)) for k in ks])
-    keep = pmf * obs.sum() >= 5
-    obs_k, exp_k = obs[keep], pmf[keep] * obs.sum()
-    exp_k *= obs_k.sum() / exp_k.sum()
-    stat = chisquare(obs_k, exp_k)
-    assert stat.pvalue > 0.01
-
-
-def test_latent_update_maintains_m():
-    state, graph = two_node_state()
-    rng = rng_stream(103, 0)
-    for mode in ("exact", "mh"):
-        latent_update(state, graph, mode, rng)
-        np.testing.assert_array_equal(state.m, compute_m(graph, state.nbar))
 
 
 def test_hyper_update_moves_and_keeps_validity():
@@ -219,8 +170,8 @@ def test_hyper_update_moves_and_keeps_validity():
     rng = rng_stream(104, 0)
     from crmgraph.inference import init_state
 
-    state = init_state(z, mc, rng)
-    latent_update(state, z, "exact", rng)
+    state = init_state(z, rng)
+    latent_update(state, z, rng)
     n_acc = 0
     for _ in range(300):
         state, acc = hyper_update(state, mc, rng)
@@ -311,7 +262,6 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back.nbar, state.nbar)
     assert back.w_star == state.w_star
     assert (back.alpha, back.sigma, back.tau) == (state.alpha, state.sigma, state.tau)
-    np.testing.assert_array_equal(back.m, compute_m(graph, state.nbar))
 
 
 def test_checkpoint_rejects_unknown_schema(tmp_path):

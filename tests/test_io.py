@@ -1,4 +1,3 @@
-import json
 import time
 
 import numpy as np
@@ -8,11 +7,9 @@ from crmgraph.errors import EmptyGraphError, ParseError, SchemaError
 from crmgraph.graphs import DirectedMultigraph, UndirectedGraph
 from crmgraph.graphio import (
     EdgeListSource,
-    load_run_config,
     read_bipartite_edge_list,
     read_edge_list,
     read_trace_csv,
-    save_run_config,
     write_edge_list,
     write_trace_csv,
 )
@@ -149,30 +146,3 @@ def test_trace_csv_parse_speed(tmp_path):
     elapsed = time.time() - start
     assert sum(len(t) for t in back) == 120000
     assert elapsed < 2.0
-
-
-def test_run_config_round_trip(tmp_path):
-    doc = {"alpha": 300.0, "sigma": 0.5, "tau": 1.0, "n_iter": 100, "seed": 7}
-    path = str(tmp_path / "cfg.json")
-    save_run_config(doc, path)
-    back = load_run_config(path)
-    for k, v in doc.items():
-        assert back[k] == v
-    assert back["schema_version"] == 1
-    assert back["n_chains"] == 3  # documented default
-
-
-def test_run_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"schema_version": 1, "alpha": 1.0, "bogus": 2}))
-    with pytest.raises(SchemaError):
-        load_run_config(str(path))
-    with pytest.raises(SchemaError):
-        save_run_config({"bogus": 1}, str(tmp_path / "out.json"))
-
-
-def test_run_config_rejects_bad_version(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"schema_version": 42}))
-    with pytest.raises(SchemaError):
-        load_run_config(str(path))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crmgraph.errors import NonPositiveAlphaError, OutOfRegionError
-from crmgraph.params import GgpParams, TiltedStableSpec, rng_stream, validate_params
+from crmgraph.params import GgpParams, rng_stream
 
 
 @pytest.mark.parametrize(
@@ -17,7 +17,7 @@ from crmgraph.params import GgpParams, TiltedStableSpec, rng_stream, validate_pa
     ],
 )
 def test_admissible_region_accepts(alpha, sigma, tau):
-    p = validate_params(alpha, sigma, tau)
+    p = GgpParams(alpha, sigma, tau)
     assert (p.alpha, p.sigma, p.tau) == (alpha, sigma, tau)
 
 
@@ -37,7 +37,7 @@ def test_admissible_region_accepts(alpha, sigma, tau):
 )
 def test_inadmissible_region_rejects(alpha, sigma, tau, exc):
     with pytest.raises(exc):
-        validate_params(alpha, sigma, tau)
+        GgpParams(alpha, sigma, tau)
 
 
 @given(
@@ -63,11 +63,6 @@ def test_finite_activity_flag():
 def test_with_tilt_shifts_tau():
     p = GgpParams(2.0, 0.5, 0.0).with_tilt(3.0)
     assert p.tau == 3.0 and p.sigma == 0.5 and p.alpha == 2.0
-
-
-def test_tilted_spec_rejects_negative_tilt():
-    with pytest.raises(OutOfRegionError):
-        TiltedStableSpec(GgpParams(1, 0.5, 1), -1.0)
 
 
 def test_rng_stream_reproducible_and_distinct():

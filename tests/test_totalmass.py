@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import kstest, ks_2samp
 
-from crmgraph.errors import DomainError
+from crmgraph.errors import DomainError, OutOfRegionError
 from crmgraph.levy import laplace_exponent
-from crmgraph.params import GgpParams, TiltedStableSpec, rng_stream
+from crmgraph.params import GgpParams, rng_stream
 from crmgraph.totalmass import (
     sample_tilted_total_mass,
     sample_total_mass,
@@ -114,8 +115,7 @@ def test_tilting_identity(base, tilt):
     # tilting by c is exactly a tau -> tau + c shift, for every sigma
     rng1 = rng_stream(6, 0)
     rng2 = rng_stream(6, 0)
-    spec = TiltedStableSpec(base, tilt)
-    a = np.array([sample_tilted_total_mass(spec, rng1) for _ in range(5000)])
+    a = np.array([sample_tilted_total_mass(base, tilt, rng1) for _ in range(5000)])
     shifted = GgpParams(base.alpha, base.sigma, base.tau + tilt)
     b = np.array([sample_total_mass(shifted, rng2) for _ in range(5000)])
     np.testing.assert_array_equal(a, b)
@@ -123,9 +123,8 @@ def test_tilting_identity(base, tilt):
 
 def test_zero_tilt_is_identity_in_law():
     base = GgpParams(2.0, 0.5, 1.0)
-    spec = TiltedStableSpec(base, 0.0)
     rng = rng_stream(7, 0)
-    a = np.array([sample_tilted_total_mass(spec, rng) for _ in range(8000)])
+    a = np.array([sample_tilted_total_mass(base, 0.0, rng) for _ in range(8000)])
     b = draw_many(base, 8000, seed=8)
     assert ks_2samp(a, b).pvalue > 0.01
 
@@ -133,11 +132,44 @@ def test_zero_tilt_is_identity_in_law():
 def test_tilted_gamma_case_is_rate_shift():
     # sigma = 0 tilted by c: Gamma(alpha, tau + c)
     rng = rng_stream(15, 0)
-    spec = TiltedStableSpec(GgpParams(3.0, 0.0, 1.0), 4.0)
-    x = np.array([sample_tilted_total_mass(spec, rng) for _ in range(20000)])
+    x = np.array([sample_tilted_total_mass(GgpParams(3.0, 0.0, 1.0), 4.0, rng)
+                  for _ in range(20000)])
     from scipy.stats import gamma
 
     assert kstest(x, gamma(3.0, scale=0.2).cdf).pvalue > 0.01
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    log_alpha=st.floats(-1.0, 3.0),
+    sigma=st.one_of(st.sampled_from([-1e-12, 0.0, 1e-12, -1.0, -3.0]),
+                    st.floats(-0.9, 0.9).filter(lambda s: abs(s) >= 1e-12)),
+    log_tau=st.one_of(st.just(None), st.floats(-6.0, 6.0)),
+    log_tilt=st.one_of(st.just(None), st.floats(-6.0, 6.0)),
+)
+@example(log_alpha=3.0, sigma=-3.0, log_tau=-6.0, log_tilt=None)
+def test_tilted_total_mass_finite_over_the_region(log_alpha, sigma, log_tau, log_tilt):
+    # |sigma| runs down to 1e-12, and alpha up to 1e3, where sigma = -3 and
+    # tau = 1e-6 make the mean jump count exceed 1e20.
+    # log_tau None stands for tau = 0, admissible only for sigma > 0;
+    # log_tilt None for tilt = 0. With tau = tilt = 0 the draw is a stable
+    # variable of scale (alpha/sigma)^(1/sigma), beyond a double's range
+    # for sigma below about 0.05, so that corner keeps sigma >= 0.1.
+    tau = 0.0 if log_tau is None else 10.0**log_tau
+    tilt = 0.0 if log_tilt is None else 10.0**log_tilt
+    if tau == 0.0 and (sigma <= 0.0 or (tilt == 0.0 and sigma < 0.1)):
+        return
+    params = GgpParams(10.0**log_alpha, sigma, tau)
+    rng = rng_stream(16, 0)
+    start = time.perf_counter()
+    x = np.array([sample_tilted_total_mass(params, tilt, rng) for _ in range(5)])
+    assert time.perf_counter() - start < 1.0
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    if sigma >= 0.0:
+        assert np.all(x > 0.0)
+    # a negative tilt is rejected, even where tau + tilt would stay >= 0
+    with pytest.raises(OutOfRegionError):
+        sample_tilted_total_mass(params, -min(tau, 1.0) if tau > 0 else -1.0, rng)
 
 
 def test_truncated_poisson_mean_at_unit_rate():
