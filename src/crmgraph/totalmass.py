@@ -176,47 +176,21 @@ def sample_tilted_total_mass(params, tilt, rng):
 
 
 def sample_truncated_poisson(rate, rng, size=None):
-    """Zero-truncated Poisson draws, stable down to vanishing rates.
+    """Zero-truncated Poisson draws in one pass, exact at every rate.
 
-    Small rates use CDF inversion (the distribution degenerates to 1);
-    larger rates redraw plain Poisson variates until nonzero.
+    A zero-truncated Poisson(lam) count is one plus the arrivals of a
+    unit-rate Poisson process on (T, lam], where T is its first arrival
+    conditioned on T < lam: T = -log1p(u expm1(-lam)) by inversion, and
+    X = 1 + Poisson(lam - T).
     """
     scalar = size is None and np.isscalar(rate)
     rate = np.atleast_1d(np.asarray(rate, dtype=float))
     if np.any(rate <= 0) or np.any(~np.isfinite(rate)):
         raise DomainError("truncated Poisson requires rate > 0")
     if size is not None:
-        rate = np.broadcast_to(rate, (size,) if np.isscalar(size) else size).copy()
-    out = np.empty(rate.shape, dtype=np.int64)
-
-    small = rate <= 1.0
-    if np.any(small):
-        lam = rate[small]
-        u = rng.uniform(size=lam.shape)
-        k = np.ones(lam.shape, dtype=np.int64)
-        # p(k) built iteratively; p(1) = lam / (e^lam - 1)
-        p = lam / np.expm1(lam)
-        cum = p.copy()
-        active = u > cum
-        j = 1
-        while np.any(active) and j < 200:
-            j += 1
-            p = p * lam / j
-            cum = cum + p
-            k = np.where(active, j, k)
-            active = u > cum
-        out[small] = k
-
-    big = ~small
-    if np.any(big):
-        lam = rate[big]
-        draws = rng.poisson(lam)
-        zero = draws == 0
-        while np.any(zero):
-            draws[zero] = rng.poisson(lam[zero])
-            zero = draws == 0
-        out[big] = draws
-
+        rate = np.broadcast_to(rate, (size,) if np.isscalar(size) else size)
+    first = -np.log1p(rng.uniform(size=rate.shape) * np.expm1(-rate))
+    out = 1 + rng.poisson(np.maximum(rate - first, 0.0))
     if scalar:
         return int(out[0])
     return out

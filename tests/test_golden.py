@@ -15,8 +15,8 @@ from crmgraph.inference import McmcConfig, run_bipartite_gibbs, run_chain
 from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import SimConfig, sample_bipartite, sample_graph
 
-RUN_CHAIN_SHA256 = "19b474cb87f67748a0ae474d943d42678484f5088737539945175462f54b9628"
-BIPARTITE_SHA256 = "14c897c456bb57c11491dbfdd0692a4e77deda7ecb3943fd73414a7190fa9ca0"
+RUN_CHAIN_SHA256 = "269be02d4753cbc74d89da694ba2d230d00efce8b9d16b2659026e797b776f57"
+BIPARTITE_SHA256 = "a5b36f0cc9512a7b66e129ef8029b034cd4fc81dfe11e04a6c49346149062617"
 SAMPLE_GRAPH_SHA256 = "7b857fc8308ceb190c60bce741ef173a9ef275d13325d5f5c44e39da946f2581"
 
 
