@@ -161,9 +161,9 @@ def posterior_predictive_degrees(traces, n_draws, eps, observed=None, seed=0):
     """Degree-count quantile bands from the posterior predictive.
 
     Draws n_draws hyperparameter triples from the pooled trace, simulates a
-    graph for each by truncation at eps, and returns per-bin (2.5%, 50%, 97.5%) quantiles of the
-    binned degree counts. When an observed graph is supplied its binned
-    counts are appended for plotting.
+    graph for each by truncation at eps, and returns per-bin (2.5%, 50%,
+    97.5%) quantiles of the binned degree counts. When an observed graph is
+    supplied its binned counts are appended for plotting.
     """
     if n_draws < 1:
         raise TooFewSamplesError("n_draws must be >= 1")

@@ -6,7 +6,7 @@ HMC updates the log-weights, a joint Metropolis-Hastings block with an
 exponentially tilted total-mass proposal updates (alpha, sigma, tau, w*)
 without ever evaluating the intractable total-mass density, and the
 latent counts are drawn from their zero-truncated Poisson conditional.
-The hyperparameters carry improper 1/x priors. A conjugate Gibbs sweep
+Each hyperparameter carries an improper 1/x prior. A conjugate Gibbs sweep
 handles bipartite graphs.
 """
 
@@ -356,7 +356,8 @@ def _bipartite_side_update(w, w_star, alpha, sigma, tau, m, t_other, config, rng
     alpha_p = alpha * np.exp(config.rw_sd * rng.standard_normal())
     sigma_p = 1.0 - (1.0 - sigma) * np.exp(config.rw_sd * rng.standard_normal())
     tau_p = tau * np.exp(config.rw_sd * rng.standard_normal()) if update_tau else tau
-    # improper 1/x priors cancel against the lognormal random-walk proposals
+    # the improper 1/x prior of each parameter cancels against its lognormal
+    # random-walk proposal
     log_r = (
         bipartite_log_marginal(alpha_p, sigma_p, tau_p, m, t_other)
         - bipartite_log_marginal(alpha, sigma, tau, m, t_other)
