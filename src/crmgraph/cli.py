@@ -30,7 +30,7 @@ from .graphio import (
 )
 from .inference import McmcConfig, run_chains
 from .params import GgpParams
-from .simulate import SimConfig, sample_graph
+from .simulate import SIM_PATHS, SimConfig, sample_graph
 
 
 def _add_model_args(p):
@@ -63,8 +63,7 @@ def build_parser():
     _add_model_args(p)
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--path", choices=("truncated", "urn", "kallenberg",
-                                      "compound-poisson"), default="truncated")
+    p.add_argument("--path", choices=SIM_PATHS, default="truncated")
     p.add_argument("--no-self-loops", action="store_true")
     p.add_argument("--out", default="graph.txt")
 

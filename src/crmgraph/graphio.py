@@ -23,7 +23,6 @@ COMMENT_PREFIXES = ("#", "%")
 class EdgeListSource:
     path: str
     directed: bool = False
-    comment_prefixes: tuple = COMMENT_PREFIXES
 
 
 @dataclass
@@ -34,13 +33,13 @@ class IngestResult:
     n_duplicates: int = 0
 
 
-def _parse_lines(path, comment_prefixes):
+def _parse_lines(path):
     pairs = []
     n_lines = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith(comment_prefixes):
+            if not line or line.startswith(COMMENT_PREFIXES):
                 continue
             n_lines += 1
             fields = line.split()
@@ -63,45 +62,37 @@ def read_edge_list(source):
     """
     if isinstance(source, str):
         source = EdgeListSource(source)
-    pairs, n_lines = _parse_lines(source.path, tuple(source.comment_prefixes))
+    pairs, n_lines = _parse_lines(source.path)
     if not pairs:
         raise EmptyGraphError(f"no edges found in {source.path}")
 
     labels, ids = _first_appearance_relabel(np.asarray(pairs).ravel())
     edges = labels.reshape(-1, 2)
     id_map = dict(zip(ids.tolist(), range(len(ids))))
-    n = len(ids)
-
     if source.directed:
-        keys = edges[:, 0] * n + edges[:, 1]
-        uniq, counts = np.unique(keys, return_counts=True)
-        graph = DirectedMultigraph(n, uniq // n, uniq % n, counts)
-        n_dup = len(pairs) - len(uniq)
+        graph = DirectedMultigraph(len(ids), edges[:, 0], edges[:, 1])
+        n_stored = len(graph.src)
     else:
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        uniq = np.unique(lo * n + hi)
-        graph = UndirectedGraph(n, uniq // n, uniq % n)
-        n_dup = len(pairs) - len(uniq)
-    return IngestResult(graph=graph, id_map=id_map, n_lines=n_lines, n_duplicates=n_dup)
+        graph = UndirectedGraph(len(ids), edges[:, 0], edges[:, 1])
+        n_stored = graph.n_edges
+    return IngestResult(graph=graph, id_map=id_map, n_lines=n_lines,
+                        n_duplicates=len(pairs) - n_stored)
 
 
 def read_bipartite_edge_list(source):
     """Edge list where column 1 indexes the left set and column 2 the right set."""
     if isinstance(source, str):
         source = EdgeListSource(source)
-    pairs, _ = _parse_lines(source.path, tuple(source.comment_prefixes))
+    pairs, _ = _parse_lines(source.path)
     if not pairs:
         raise EmptyGraphError(f"no edges found in {source.path}")
     pairs = np.asarray(pairs)
     li, left_ids = _first_appearance_relabel(pairs[:, 0])
     ri, right_ids = _first_appearance_relabel(pairs[:, 1])
-    n_r = len(right_ids)
-    keys = np.unique(li * n_r + ri)
-    graph = BipartiteGraph(len(left_ids), n_r, keys // n_r, keys % n_r)
+    graph = BipartiteGraph(len(left_ids), len(right_ids), li, ri)
     id_map = {
         "left": dict(zip(left_ids.tolist(), range(len(left_ids)))),
-        "right": dict(zip(right_ids.tolist(), range(n_r))),
+        "right": dict(zip(right_ids.tolist(), range(len(right_ids)))),
     }
     return IngestResult(graph=graph, id_map=id_map)
 
@@ -112,12 +103,10 @@ def write_edge_list(graph, path, header=None):
             for line in header.splitlines():
                 fh.write(f"# {line}\n")
         if isinstance(graph, DirectedMultigraph):
-            for s, d, c in zip(graph.src, graph.dst, graph.counts):
-                for _ in range(int(c)):
-                    fh.write(f"{s} {d}\n")
+            a, b = np.repeat(graph.src, graph.counts), np.repeat(graph.dst, graph.counts)
         else:
-            for i, j in zip(graph.edge_i, graph.edge_j):
-                fh.write(f"{i} {j}\n")
+            a, b = graph.edge_i, graph.edge_j
+        fh.writelines(f"{i} {j}\n" for i, j in zip(a.tolist(), b.tolist()))
 
 
 def _fmt(x):

@@ -1,8 +1,10 @@
 """Graph value types and structural transforms.
 
-A directed multigraph stores sparse ordered-pair counts over contiguous
-node ids; its undirected restriction keeps one unordered edge per pair
-with at least one directed interaction (self-loops allowed).
+Each graph type is built from raw endpoint pairs: it checks ids against
+its shape (DomainError if out of range), merges repeated pairs and stores
+them sorted. A directed multigraph counts ordered pairs; its undirected
+restriction keeps one edge per connected unordered pair (self-loops
+allowed); a bipartite graph counts left-right pairs.
 """
 
 from dataclasses import dataclass, field
@@ -12,6 +14,30 @@ import numpy as np
 from .errors import DomainError, OverlapError
 
 
+def _merge_pairs(n_a, n_b, a, b, counts=None):
+    """Pairs (a, b) over [0, n_a) x [0, n_b), each stored once, sorted by (a, b).
+
+    Repeated pairs add their counts, or count one per listed pair when
+    counts is None; one np.unique of the key a * n_b + b merges and sorts.
+    Returns the stored a, b and counts.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    for ids, n in ((a, n_a), (b, n_b)):
+        if len(ids) and (ids.min() < 0 or ids.max() >= n):
+            raise DomainError(f"node id out of range [0, {n})")
+    if counts is None:
+        keys, merged = np.unique(a * n_b + b, return_counts=True)
+    else:
+        counts = np.asarray(counts, dtype=np.int64)
+        if np.any(counts < 1):
+            raise DomainError("pair counts must be >= 1")
+        keys, inverse = np.unique(a * n_b + b, return_inverse=True)
+        merged = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(merged, inverse, counts)
+    return keys // n_b, keys % n_b, merged
+
+
 @dataclass(frozen=True, eq=False)
 class DirectedMultigraph:
     """Sparse directed edge counts n_ij >= 1 over 0-based contiguous ids."""
@@ -19,14 +45,12 @@ class DirectedMultigraph:
     n_nodes: int
     src: np.ndarray
     dst: np.ndarray
-    counts: np.ndarray
+    counts: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "src", np.asarray(self.src, dtype=np.int64))
-        object.__setattr__(self, "dst", np.asarray(self.dst, dtype=np.int64))
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
-        if np.any(self.counts < 1):
-            raise DomainError("all stored multigraph counts must be >= 1")
+        pairs = _merge_pairs(self.n_nodes, self.n_nodes, self.src, self.dst, self.counts)
+        for name, value in zip(("src", "dst", "counts"), pairs):
+            object.__setattr__(self, name, value)
 
     @property
     def total_edges(self):
@@ -53,21 +77,18 @@ class UndirectedGraph:
     n_nodes: int
     edge_i: np.ndarray
     edge_j: np.ndarray
-    degree: np.ndarray = field(default=None)
+    degree: np.ndarray = field(init=False)
 
     def __post_init__(self):
         i = np.asarray(self.edge_i, dtype=np.int64)
         j = np.asarray(self.edge_j, dtype=np.int64)
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        order = np.lexsort((hi, lo))
-        object.__setattr__(self, "edge_i", lo[order])
-        object.__setattr__(self, "edge_j", hi[order])
-        if self.degree is None:
-            deg = np.bincount(self.edge_i, minlength=self.n_nodes)
-            # self-loop contributes 1 to the degree statistics
-            nonloop = self.edge_i != self.edge_j
-            deg += np.bincount(self.edge_j[nonloop], minlength=self.n_nodes)
-            object.__setattr__(self, "degree", deg.astype(np.int64))
+        lo, hi, _ = _merge_pairs(self.n_nodes, self.n_nodes, np.minimum(i, j), np.maximum(i, j))
+        object.__setattr__(self, "edge_i", lo)
+        object.__setattr__(self, "edge_j", hi)
+        # a self-loop contributes 1 to the degree statistics
+        deg = np.bincount(lo, minlength=self.n_nodes)
+        deg += np.bincount(hi[lo != hi], minlength=self.n_nodes)
+        object.__setattr__(self, "degree", deg.astype(np.int64))
 
     @property
     def n_edges(self):
@@ -81,25 +102,18 @@ class UndirectedGraph:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Edges between a left and a right node set; within-side edges impossible."""
+    """Edge counts between a left and a right node set; within-side edges impossible."""
 
     n_left: int
     n_right: int
     left: np.ndarray
     right: np.ndarray
-    counts: np.ndarray = field(default=None)
+    counts: np.ndarray = None
 
     def __post_init__(self):
-        left = np.asarray(self.left, dtype=np.int64)
-        right = np.asarray(self.right, dtype=np.int64)
-        if len(left) and (left.min() < 0 or left.max() >= self.n_left):
-            raise DomainError("left node id out of range")
-        if len(right) and (right.min() < 0 or right.max() >= self.n_right):
-            raise DomainError("right node id out of range")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        if self.counts is not None:
-            object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
+        pairs = _merge_pairs(self.n_left, self.n_right, self.left, self.right, self.counts)
+        for name, value in zip(("left", "right", "counts"), pairs):
+            object.__setattr__(self, name, value)
 
     @property
     def n_edges(self):
@@ -138,9 +152,7 @@ def _first_appearance_relabel(seq):
 
 def to_undirected(d):
     """Undirected restriction: edge {i, j} iff n_ij + n_ji > 0."""
-    n = d.n_nodes
-    keys = np.unique(np.minimum(d.src, d.dst) * n + np.maximum(d.src, d.dst))
-    return UndirectedGraph(n, keys // n, keys % n)
+    return UndirectedGraph(d.n_nodes, d.src, d.dst)
 
 
 def degree_histogram(z):

@@ -25,7 +25,12 @@ from .graphs import (
     _first_appearance_relabel,
     to_undirected,
 )
-from .levy import expected_truncation_mass, inv_tail_intensity, tail_intensity
+from .levy import (
+    expected_truncation_mass,
+    inv_tail_intensity,
+    tail_intensity,
+    total_tail_mass,
+)
 from .params import GgpParams, rng_stream
 
 DEFAULT_EPS = 1e-6
@@ -44,7 +49,7 @@ class SimConfig:
     def __post_init__(self):
         if self.truncation_eps <= 0:
             raise DomainError("truncation_eps must be positive")
-        if self.path not in ("truncated", "urn", "kallenberg", "compound-poisson"):
+        if self.path not in SIM_PATHS:
             raise DomainError(f"unknown simulation path {self.path!r}")
         if self.path == "urn" and self.params.sigma != 0.0:
             raise DomainError("the urn path is exact only for sigma = 0")
@@ -132,17 +137,9 @@ def _directed_conditional(sample, rng):
     if total <= 0:
         raise DegenerateMassError("total weight mass is zero")
     n_edges = rng.poisson(total * total)
-    if n_edges == 0:
-        d = DirectedMultigraph(0, np.empty(0, np.int64), np.empty(0, np.int64),
-                               np.empty(0, np.int64))
-        return d, np.empty(0, np.int64)
     endpoints = rng.choice(len(w), size=2 * n_edges, p=w / total)
     labels, atom_ids = _first_appearance_relabel(endpoints)
-    src, dst = labels[0::2], labels[1::2]
-    keys = src * len(atom_ids) + dst
-    uniq, counts = np.unique(keys, return_counts=True)
-    d = DirectedMultigraph(len(atom_ids), uniq // len(atom_ids), uniq % len(atom_ids), counts)
-    return d, atom_ids
+    return DirectedMultigraph(len(atom_ids), labels[0::2], labels[1::2]), atom_ids
 
 
 def sample_directed_conditional(sample, rng):
@@ -151,11 +148,16 @@ def sample_directed_conditional(sample, rng):
     return d
 
 
-def _strip_self_loops(z):
-    keep = z.edge_i != z.edge_j
-    i, j = z.edge_i[keep], z.edge_j[keep]
+def _drop_isolated(i, j):
+    """Graph on the nodes that edges (i, j) touch, ids by first appearance in
+    i then j, plus the old id of each new node."""
     labels, old_ids = _first_appearance_relabel(np.concatenate([i, j]))
     return UndirectedGraph(len(old_ids), labels[: len(i)], labels[len(i):]), old_ids
+
+
+def _strip_self_loops(z):
+    keep = z.edge_i != z.edge_j
+    return _drop_isolated(z.edge_i[keep], z.edge_j[keep])
 
 
 def sample_undirected_ggp(config, rng=None):
@@ -200,13 +202,7 @@ def sample_gamma_urn(alpha, tau, rng):
             n_distinct += 1
         else:
             labels[n] = labels[rng.integers(n)]
-    if n_edges == 0:
-        return DirectedMultigraph(0, np.empty(0, np.int64), np.empty(0, np.int64),
-                                  np.empty(0, np.int64))
-    src, dst = labels[0::2], labels[1::2]
-    keys = src * n_distinct + dst
-    uniq, counts = np.unique(keys, return_counts=True)
-    return DirectedMultigraph(n_distinct, uniq // n_distinct, uniq % n_distinct, counts)
+    return DirectedMultigraph(n_distinct, labels[0::2], labels[1::2])
 
 
 def _bernoulli_pair_edges(w, rng, include_self_loops, chunk=512):
@@ -250,10 +246,7 @@ def sample_kallenberg(params, eps, rng):
     marks = rng.uniform(0.0, bound, size=k)
     w = inv_tail_intensity(params, marks / params.alpha) if k else np.empty(0)
     ei, ej = _bernoulli_pair_edges(np.asarray(w), rng, include_self_loops=True)
-    if len(ei) == 0:
-        return UndirectedGraph(0, ei, ej)
-    labels, _ = _first_appearance_relabel(np.concatenate([ei, ej]))
-    return UndirectedGraph(int(labels.max()) + 1, labels[: len(ei)], labels[len(ei):])
+    return _drop_isolated(ei, ej)[0]
 
 
 def sample_er_equivalent(alpha, w0, rng, include_self_loops=True):
@@ -264,19 +257,9 @@ def sample_er_equivalent(alpha, w0, rng, include_self_loops=True):
     """
     if alpha <= 0 or w0 < 0:
         raise DomainError("requires alpha > 0 and w0 >= 0")
-    n = rng.poisson(alpha)
-    if n == 0 or w0 == 0.0:
-        return UndirectedGraph(n, np.empty(0, np.int64), np.empty(0, np.int64))
-    p = -np.expm1(-2.0 * w0 * w0)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(len(iu)) < p
-    ei, ej = iu[mask], ju[mask]
-    if include_self_loops:
-        loop = rng.random(n) < -np.expm1(-w0 * w0)
-        ids = np.nonzero(loop)[0]
-        ei = np.concatenate([ei, ids])
-        ej = np.concatenate([ej, ids])
-    return UndirectedGraph(n, ei, ej)
+    return sample_compound_poisson_graph(
+        alpha, lambda u: np.full(len(u), float(w0)), rng, include_self_loops
+    )
 
 
 def sample_compound_poisson_graph(alpha, weight_cdf_inverse, rng, include_self_loops=True):
@@ -288,8 +271,6 @@ def sample_compound_poisson_graph(alpha, weight_cdf_inverse, rng, include_self_l
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     n = rng.poisson(alpha)
-    if n == 0:
-        return UndirectedGraph(0, np.empty(0, np.int64), np.empty(0, np.int64))
     w = np.asarray(weight_cdf_inverse(rng.uniform(size=n)), dtype=float)
     ei, ej = _bernoulli_pair_edges(w, rng, include_self_loops)
     return UndirectedGraph(n, ei, ej)
@@ -301,20 +282,13 @@ def sample_bipartite(params, params_prime, eps, rng):
     right_crm = sample_crm_truncated(params_prime, eps, rng)
     wl, wr = left_crm.weights, right_crm.weights
     if wl.sum() <= 0 or wr.sum() <= 0:
-        return BipartiteGraph(0, 0, np.empty(0, np.int64), np.empty(0, np.int64))
+        return BipartiteGraph(0, 0, [], [])
     n_edges = rng.poisson(wl.sum() * wr.sum())
-    if n_edges == 0:
-        return BipartiteGraph(0, 0, np.empty(0, np.int64), np.empty(0, np.int64))
     li = rng.choice(len(wl), size=n_edges, p=wl / wl.sum())
     ri = rng.choice(len(wr), size=n_edges, p=wr / wr.sum())
-    left_labels, left_ids = _first_appearance_relabel(li)
-    right_labels, right_ids = _first_appearance_relabel(ri)
-    keys = left_labels * len(right_ids) + right_labels
-    uniq, counts = np.unique(keys, return_counts=True)
-    return BipartiteGraph(
-        len(left_ids), len(right_ids),
-        uniq // len(right_ids), uniq % len(right_ids), counts,
-    )
+    left, left_ids = _first_appearance_relabel(li)
+    right, right_ids = _first_appearance_relabel(ri)
+    return BipartiteGraph(len(left_ids), len(right_ids), left, right)
 
 
 def gamma_weight_quantile(sigma, tau):
@@ -324,22 +298,34 @@ def gamma_weight_quantile(sigma, tau):
     return lambda u: gamma_dist.ppf(u, -sigma, scale=1.0 / tau)
 
 
+def _urn_path(config, rng):
+    z = to_undirected(sample_gamma_urn(config.params.alpha, config.params.tau, rng))
+    return z if config.include_self_loops else _strip_self_loops(z)[0]
+
+
+def _compound_poisson_path(config, rng):
+    # finite activity only: Poisson(alpha rhobar(0+)) gamma jumps, and, as
+    # on the other paths, nodes without an edge are not part of the graph
+    p = config.params
+    hinv = gamma_weight_quantile(p.sigma, p.tau)
+    z = sample_compound_poisson_graph(
+        p.alpha * total_tail_mass(p), hinv, rng, config.include_self_loops
+    )
+    return _drop_isolated(z.edge_i, z.edge_j)[0]
+
+
+_PATH_SAMPLERS = {
+    "truncated": lambda config, rng: sample_undirected_ggp(config, rng)[0],
+    "urn": _urn_path,
+    "kallenberg": lambda config, rng: sample_kallenberg(
+        config.params, config.truncation_eps, rng),
+    "compound-poisson": _compound_poisson_path,
+}
+SIM_PATHS = tuple(_PATH_SAMPLERS)
+
+
 def sample_graph(config, rng=None):
     """Dispatch one undirected draw over the configured generative path."""
     if rng is None:
         rng = rng_stream(config.seed)
-    p = config.params
-    if config.path == "truncated":
-        z, _ = sample_undirected_ggp(config, rng)
-        return z
-    if config.path == "urn":
-        z = to_undirected(sample_gamma_urn(p.alpha, p.tau, rng))
-        if not config.include_self_loops:
-            z, _ = _strip_self_loops(z)
-        return z
-    if config.path == "kallenberg":
-        return sample_kallenberg(p, config.truncation_eps, rng)
-    # compound-poisson: only meaningful for finite activity
-    return sample_compound_poisson_graph(
-        p.alpha, gamma_weight_quantile(p.sigma, p.tau), rng, config.include_self_loops
-    )
+    return _PATH_SAMPLERS[config.path](config, rng)

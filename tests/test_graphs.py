@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from crmgraph.errors import DomainError, OverlapError
 from crmgraph.graphs import (
+    BipartiteGraph,
     CrmSample,
     DirectedMultigraph,
     UndirectedGraph,
@@ -64,6 +65,40 @@ def test_multigraph_rejects_zero_counts():
 def test_undirected_graph_sorts_and_orients_edges():
     z = UndirectedGraph(4, [3, 2, 1], [1, 2, 0])
     assert list(zip(z.edge_i, z.edge_j)) == [(0, 1), (1, 3), (2, 2)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DirectedMultigraph(2, [0, 2], [1, 0]),
+    lambda: DirectedMultigraph(2, [0], [-1]),
+    lambda: UndirectedGraph(3, [0, 1], [1, 3]),
+    lambda: UndirectedGraph(3, [-1], [0]),
+    lambda: BipartiteGraph(2, 3, [2], [0]),
+    lambda: BipartiteGraph(2, 3, [0], [3]),
+    lambda: BipartiteGraph(2, 3, [0], [-1]),
+])
+def test_graph_types_reject_out_of_range_ids(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_undirected_graph_collapses_repeated_and_reversed_pairs():
+    z = UndirectedGraph(3, [0, 1, 1], [1, 0, 2])
+    assert z.n_edges == 2
+    assert list(zip(z.edge_i.tolist(), z.edge_j.tolist())) == [(0, 1), (1, 2)]
+    np.testing.assert_array_equal(z.degree, [1, 2, 1])
+
+
+def test_pair_counts_merge_across_repeats():
+    d = DirectedMultigraph(2, [0, 0], [1, 1])
+    np.testing.assert_array_equal(d.counts, [2])
+    d = DirectedMultigraph(3, [2, 0, 2, 0], [1, 1, 1, 0], counts=[3, 1, 4, 2])
+    assert list(zip(d.src.tolist(), d.dst.tolist(), d.counts.tolist())) == [
+        (0, 0, 2), (0, 1, 1), (2, 1, 7)]
+    g = BipartiteGraph(2, 2, [1, 0, 1], [0, 1, 0])
+    assert list(zip(g.left.tolist(), g.right.tolist(), g.counts.tolist())) == [
+        (0, 1, 1), (1, 0, 2)]
+    g = BipartiteGraph(2, 2, [1, 1], [0, 0], counts=[2, 5])
+    np.testing.assert_array_equal(g.counts, [7])
 
 
 def test_undirected_has_edge():

@@ -79,6 +79,19 @@ def test_edge_list_round_trip(tmp_path):
     np.testing.assert_array_equal(back.edge_j, z.edge_j)
 
 
+def test_directed_edge_list_round_trip(tmp_path):
+    d = DirectedMultigraph(3, [0, 2, 1, 0], [1, 0, 1, 0], counts=[3, 1, 2, 1])
+    path = str(tmp_path / "directed.txt")
+    write_edge_list(d, path)
+    # counts > 1 are written as repeated lines, and ids 0, 1, 2 first
+    # appear in that order, so relabelling by first appearance is the identity
+    assert open(path).read().splitlines()[:4] == ["0 0", "0 1", "0 1", "0 1"]
+    back = read_edge_list(EdgeListSource(path, directed=True)).graph
+    np.testing.assert_array_equal(back.src, d.src)
+    np.testing.assert_array_equal(back.dst, d.dst)
+    np.testing.assert_array_equal(back.counts, d.counts)
+
+
 def test_read_bipartite_edge_list(tmp_path):
     path = write(tmp_path, "1 100\n2 100\n1 200\n1 100\n")
     res = read_bipartite_edge_list(path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.stats import ks_2samp
 
 from crmgraph import simulate
 from crmgraph.errors import DomainError
@@ -253,6 +254,23 @@ def test_sample_graph_dispatch():
         cfg = SimConfig(params=p, truncation_eps=1e-3, seed=3, path=path)
         z = sample_graph(cfg)
         assert isinstance(z, UndirectedGraph)
+
+
+@pytest.mark.parametrize("sigma,tau", [(-0.5, 1.0), (-1.0, 0.5)])
+def test_compound_poisson_path_matches_truncated_path(sigma, tau):
+    # Both paths draw Poisson(alpha tau^sigma / -sigma) Gamma(-sigma, tau)
+    # jumps and keep only nodes with an edge. Per-graph counts are compared,
+    # not pooled degrees, which are correlated within one graph.
+    p = GgpParams(20.0, sigma, tau)
+    counts = []
+    for stream, path in enumerate(("truncated", "compound-poisson")):
+        cfg = SimConfig(params=p, truncation_eps=1e-6, path=path)
+        rng = rng_stream(31, stream)
+        zs = [sample_graph(cfg, rng) for _ in range(500)]
+        counts.append(([z.n_nodes for z in zs], [z.n_edges for z in zs]))
+    (trunc_nodes, trunc_edges), (cp_nodes, cp_edges) = counts
+    assert ks_2samp(trunc_nodes, cp_nodes).pvalue > 0.01
+    assert ks_2samp(trunc_edges, cp_edges).pvalue > 0.01
 
 
 def test_sample_graph_deterministic_in_seed():
