@@ -9,17 +9,21 @@ the tilted law is the total-mass law with tau -> tau + c, for every sigma.
 """
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import DomainError, OutOfRegionError
 
+_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
-def _stable_std(rng, alpha):
-    """One draw of the positive stable law with E[e^(-tS)] = exp(-t^alpha).
+
+def _log_stable_std(rng, alpha):
+    """Log of one draw of the positive stable law with E[e^(-tS)] = exp(-t^alpha).
 
     Kanter's representation: S = (a(U)/E)^((1-alpha)/alpha) with U uniform
-    on (0, pi) and E unit exponential.
+    on (0, pi) and E unit exponential. As alpha -> 0 the draw itself leaves
+    a double's range, but its log stays finite.
     """
     u = rng.uniform(0.0, math.pi)
     e = rng.exponential()
@@ -28,7 +32,7 @@ def _stable_std(rng, alpha):
         + math.log(math.sin((1.0 - alpha) * u))
         - (1.0 / (1.0 - alpha)) * math.log(math.sin(u))
     )
-    return math.exp(((1.0 - alpha) / alpha) * (log_a - math.log(e)))
+    return ((1.0 - alpha) / alpha) * (log_a - math.log(e))
 
 
 def _sinc(x):
@@ -61,7 +65,7 @@ def _log_exp_tilted_stable_std(rng, alpha, lam_alpha):
     and the draw overflow or underflow a double.
     """
     if lam_alpha == 0.0:
-        return math.log(_stable_std(rng, alpha))
+        return _log_stable_std(rng, alpha)
 
     b = (1.0 - alpha) / alpha
     gamma = lam_alpha * alpha * (1.0 - alpha)
@@ -150,7 +154,7 @@ def _log_exp_tilted_stable_std(rng, alpha, lam_alpha):
 
 
 def sample_total_mass(params, rng):
-    """One exact draw of the GGP total mass W*_alpha."""
+    """One exact draw of the GGP total mass W*_alpha; DomainError if it exceeds a double."""
     a, s, t = params.alpha, params.sigma, params.tau
     if s == 0.0:
         return float(rng.gamma(a, 1.0 / t))
@@ -165,7 +169,10 @@ def sample_total_mass(params, rng):
     # (t*scale)^sigma = t^sigma (a/sigma) stays finite even when scale overflows
     log_scale = math.log(a / s) / s
     lam_alpha = t**s * (a / s) if t > 0.0 else 0.0
-    return math.exp(log_scale + _log_exp_tilted_stable_std(rng, s, lam_alpha))
+    log_w = log_scale + _log_exp_tilted_stable_std(rng, s, lam_alpha)
+    if log_w > _LOG_MAX_DOUBLE:
+        raise DomainError(f"total mass draw e^{log_w:.6g} exceeds the largest double")
+    return math.exp(log_w)
 
 
 def sample_tilted_total_mass(params, tilt, rng):

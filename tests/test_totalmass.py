@@ -148,21 +148,30 @@ def test_tilted_gamma_case_is_rate_shift():
     log_tilt=st.one_of(st.just(None), st.floats(-6.0, 6.0)),
 )
 @example(log_alpha=3.0, sigma=-3.0, log_tau=-6.0, log_tilt=None)
+@example(log_alpha=3.0, sigma=0.01, log_tau=None, log_tilt=None)
+@example(log_alpha=0.0, sigma=1e-12, log_tau=None, log_tilt=None)
 def test_tilted_total_mass_finite_over_the_region(log_alpha, sigma, log_tau, log_tilt):
     # |sigma| runs down to 1e-12, and alpha up to 1e3, where sigma = -3 and
     # tau = 1e-6 make the mean jump count exceed 1e20.
     # log_tau None stands for tau = 0, admissible only for sigma > 0;
     # log_tilt None for tilt = 0. With tau = tilt = 0 the draw is a stable
     # variable of scale (alpha/sigma)^(1/sigma), beyond a double's range
-    # for sigma below about 0.05, so that corner keeps sigma >= 0.1.
+    # for sigma below about 0.05, so there a draw may raise DomainError.
     tau = 0.0 if log_tau is None else 10.0**log_tau
     tilt = 0.0 if log_tilt is None else 10.0**log_tilt
-    if tau == 0.0 and (sigma <= 0.0 or (tilt == 0.0 and sigma < 0.1)):
+    if tau == 0.0 and sigma <= 0.0:
         return
     params = GgpParams(10.0**log_alpha, sigma, tau)
     rng = rng_stream(16, 0)
     start = time.perf_counter()
-    x = np.array([sample_tilted_total_mass(params, tilt, rng) for _ in range(5)])
+    x = []
+    for _ in range(5):
+        try:
+            x.append(sample_tilted_total_mass(params, tilt, rng))
+        except DomainError:
+            if tau + tilt > 0.0:
+                raise
+    x = np.array(x)
     assert time.perf_counter() - start < 1.0
     assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
     if sigma >= 0.0:
