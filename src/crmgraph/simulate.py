@@ -149,8 +149,7 @@ def sample_directed_conditional(sample, rng):
 
 
 def _drop_isolated(i, j):
-    """Graph on the nodes that edges (i, j) touch, ids by first appearance in
-    i then j, plus the old id of each new node."""
+    """Graph on the nodes that edges (i, j) touch, and each new node's old id."""
     labels, old_ids = _first_appearance_relabel(np.concatenate([i, j]))
     return UndirectedGraph(len(old_ids), labels[: len(i)], labels[len(i):]), old_ids
 
@@ -258,7 +257,7 @@ def sample_er_equivalent(alpha, w0, rng, include_self_loops=True):
     if alpha <= 0 or w0 < 0:
         raise DomainError("requires alpha > 0 and w0 >= 0")
     return sample_compound_poisson_graph(
-        alpha, lambda u: np.full(len(u), float(w0)), rng, include_self_loops
+        alpha, lambda u: np.full_like(u, w0), rng, include_self_loops
     )
 
 
