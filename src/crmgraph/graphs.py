@@ -80,8 +80,7 @@ class UndirectedGraph:
     degree: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        i = np.asarray(self.edge_i, dtype=np.int64)
-        j = np.asarray(self.edge_j, dtype=np.int64)
+        i, j = self.edge_i, self.edge_j
         lo, hi, _ = _merge_pairs(self.n_nodes, self.n_nodes, np.minimum(i, j), np.maximum(i, j))
         object.__setattr__(self, "edge_i", lo)
         object.__setattr__(self, "edge_j", hi)
