@@ -15,7 +15,6 @@ from .diagnostics import (
 )
 from .errors import (
     CrmGraphError,
-    DegenerateMassError,
     DomainError,
     EmptyGraphError,
     InconsistentStateError,

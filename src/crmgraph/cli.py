@@ -28,7 +28,7 @@ from .graphio import (
     write_sidecar,
     write_trace_csv,
 )
-from .inference import McmcConfig, run_chains
+from .inference import PARAM_FIELDS, McmcConfig, run_chains
 from .params import GgpParams
 from .simulate import SIM_PATHS, SimConfig, sample_graph
 
@@ -207,10 +207,7 @@ def _cmd_diag(args):
     for name, val in report.psrf.items():
         print(f"{name},{val:.6f}")
     print(f"max_psrf={report.max_psrf:.6f}")
-    pooled = {
-        k: np.concatenate([t[k] for t in traces])
-        for k in ("alpha", "sigma", "tau", "w_star")
-    }
+    pooled = {k: np.concatenate([t[k] for t in traces]) for k in PARAM_FIELDS}
     for name, samples in pooled.items():
         lo, hi = credible_interval(samples, args.level)
         print(f"ci[{name}]=({lo:.6f}, {hi:.6f})")

@@ -11,6 +11,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError, TooFewChainsError, TooFewSamplesError
 from .graphs import multigraph_degree_fractions
+from .inference import PARAM_FIELDS
 from .params import GgpParams, rng_stream
 from .simulate import (
     SimConfig,
@@ -68,7 +69,7 @@ def _trace_columns(traces, params):
     return cols
 
 
-def psrf(traces, params=("alpha", "sigma", "tau", "w_star")):
+def psrf(traces, params=PARAM_FIELDS):
     """Potential scale reduction factors across chains.
 
     The selector is a sequence of record names; the name "w" expands to one

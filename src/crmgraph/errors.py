@@ -25,10 +25,6 @@ class OverlapError(CrmGraphError, ValueError):
     pass
 
 
-class DegenerateMassError(CrmGraphError, ValueError):
-    pass
-
-
 class InconsistentStateError(CrmGraphError, ValueError):
     pass
 

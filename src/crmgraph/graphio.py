@@ -13,8 +13,9 @@ from .graphs import (
     UndirectedGraph,
     _first_appearance_relabel,
 )
+from .inference import TRACE_FIELDS, ChainTrace
 
-TRACE_HEADER = ["iteration", "chain", "alpha", "sigma", "tau", "w_star", "log_post"]
+TRACE_HEADER = ["iteration", "chain", *TRACE_FIELDS]
 SIDECAR_SCHEMA_VERSION = 1
 COMMENT_PREFIXES = ("#", "%")
 
@@ -29,19 +30,17 @@ class EdgeListSource:
 class IngestResult:
     graph: object
     id_map: dict                    # external id -> contiguous id
-    n_lines: int = 0
-    n_duplicates: int = 0
+    n_lines: int                    # edge lines read
+    n_duplicates: int               # edge lines merged into an earlier pair
 
 
 def _parse_lines(path):
     pairs = []
-    n_lines = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith(COMMENT_PREFIXES):
                 continue
-            n_lines += 1
             fields = line.split()
             if len(fields) < 2:
                 raise ParseError(lineno, f"expected two ids, got {line!r}")
@@ -50,7 +49,7 @@ def _parse_lines(path):
             except ValueError:
                 raise ParseError(lineno, f"non-integer node id in {line!r}") from None
             pairs.append((a, b))
-    return pairs, n_lines
+    return pairs
 
 
 def read_edge_list(source):
@@ -62,7 +61,7 @@ def read_edge_list(source):
     """
     if isinstance(source, str):
         source = EdgeListSource(source)
-    pairs, n_lines = _parse_lines(source.path)
+    pairs = _parse_lines(source.path)
     if not pairs:
         raise EmptyGraphError(f"no edges found in {source.path}")
 
@@ -75,7 +74,7 @@ def read_edge_list(source):
     else:
         graph = UndirectedGraph(len(ids), edges[:, 0], edges[:, 1])
         n_stored = graph.n_edges
-    return IngestResult(graph=graph, id_map=id_map, n_lines=n_lines,
+    return IngestResult(graph=graph, id_map=id_map, n_lines=len(pairs),
                         n_duplicates=len(pairs) - n_stored)
 
 
@@ -83,7 +82,7 @@ def read_bipartite_edge_list(source):
     """Edge list where column 1 indexes the left set and column 2 the right set."""
     if isinstance(source, str):
         source = EdgeListSource(source)
-    pairs, _ = _parse_lines(source.path)
+    pairs = _parse_lines(source.path)
     if not pairs:
         raise EmptyGraphError(f"no edges found in {source.path}")
     pairs = np.asarray(pairs)
@@ -94,7 +93,8 @@ def read_bipartite_edge_list(source):
         "left": dict(zip(left_ids.tolist(), range(len(left_ids)))),
         "right": dict(zip(right_ids.tolist(), range(len(right_ids)))),
     }
-    return IngestResult(graph=graph, id_map=id_map)
+    return IngestResult(graph=graph, id_map=id_map, n_lines=len(pairs),
+                        n_duplicates=len(pairs) - graph.n_edges)
 
 
 def write_edge_list(graph, path, header=None):
@@ -125,15 +125,12 @@ def write_trace_csv(traces, path):
             for i in range(n):
                 wr.writerow(
                     [i, t.chain_id]
-                    + [_fmt(t.records[k][i]) for k in ("alpha", "sigma", "tau",
-                                                       "w_star", "log_post")]
+                    + [_fmt(t.records[k][i]) for k in TRACE_FIELDS]
                 )
 
 
 def read_trace_csv(path):
     """Inverse of write_trace_csv; returns a list of ChainTrace objects."""
-    from .inference import ChainTrace
-
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
@@ -150,10 +147,7 @@ def read_trace_csv(path):
     traces = []
     for chain in sorted(by_chain):
         mat = np.asarray(by_chain[chain], dtype=float)
-        recs = {
-            k: mat[:, c]
-            for c, k in enumerate(("alpha", "sigma", "tau", "w_star", "log_post"))
-        }
+        recs = {k: mat[:, c] for c, k in enumerate(TRACE_FIELDS)}
         traces.append(ChainTrace(records=recs, chain_id=chain))
     return traces
 

@@ -22,6 +22,8 @@ from .params import GgpParams, rng_stream
 from .totalmass import sample_tilted_total_mass, sample_truncated_poisson
 
 STATE_SCHEMA_VERSION = 1
+PARAM_FIELDS = ("alpha", "sigma", "tau", "w_star")  # McmcState scalars a trace keeps
+TRACE_FIELDS = PARAM_FIELDS + ("log_post",)
 
 
 @dataclass
@@ -273,8 +275,7 @@ def run_chain(graph, config, rng=None, chain_id=0):
     eps0 = 0.1 / max(len(state.omega), 1) ** 0.25
     adapter = _DualAveraging(eps0, config.target_accept)
 
-    names = ("alpha", "sigma", "tau", "w_star", "log_post")
-    recs = {k: [] for k in names}
+    recs = {k: [] for k in TRACE_FIELDS}
     omega_snaps = []
     accept = {"hmc": 0, "hyper": 0}
     post_window = {"hmc": 0, "hyper": 0, "n": 0}
@@ -294,10 +295,8 @@ def run_chain(graph, config, rng=None, chain_id=0):
             post_window["hyper"] += acc_hyp
             post_window["n"] += 1
         if it >= burn and (it - burn) % config.thin == 0:
-            recs["alpha"].append(state.alpha)
-            recs["sigma"].append(state.sigma)
-            recs["tau"].append(state.tau)
-            recs["w_star"].append(state.w_star)
+            for k in PARAM_FIELDS:
+                recs[k].append(getattr(state, k))
             recs["log_post"].append(log_posterior(state, graph))
             stride = config.omega_record_stride
             if stride and ((it - burn) // config.thin) % stride == 0:

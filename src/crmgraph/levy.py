@@ -89,16 +89,11 @@ def total_tail_mass(params):
     return np.inf
 
 
-def _dlog_tail_dlogx(params, x):
-    # d log rhobar / d log x = -x rho(x) / rhobar(x)
-    return -np.exp(np.log(x) + log_levy_density(params, x) - log_tail_intensity(params, x))
-
-
 def inv_tail_intensity(params, y):
     """Invert the tail intensity: x with rhobar(x) = y, y > 0.
 
-    Closed form for tau = 0; otherwise bisection on log x over a wide
-    bracket followed by Newton polish steps on log rhobar.
+    Closed form for tau = 0; otherwise 60 bisection steps on log x, which
+    narrow the 1380-wide bracket to about 1e-15.
     """
     scalar = np.isscalar(y)
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -121,14 +116,7 @@ def inv_tail_intensity(params, y):
         too_big = log_tail_intensity(params, np.exp(mid)) < logy
         hi = np.where(too_big, mid, hi)
         lo = np.where(too_big, lo, mid)
-    logx = 0.5 * (lo + hi)
-    for _ in range(3):
-        x = np.exp(logx)
-        g = log_tail_intensity(params, x) - logy
-        gp = _dlog_tail_dlogx(params, x)
-        step = np.where(gp != 0.0, g / gp, 0.0)
-        logx = np.clip(logx - step, _LOG_XMIN, _LOG_XMAX)
-    x = np.exp(logx)
+    x = np.exp(0.5 * (lo + hi))
     return float(x[0]) if scalar else x
 
 
@@ -140,8 +128,6 @@ def laplace_exponent(params, t):
         raise DomainError("laplace_exponent requires t >= 0")
     s, tau = params.sigma, params.tau
     if s == 0.0:
-        if tau == 0.0:
-            raise DomainError("laplace exponent undefined for sigma = 0, tau = 0")
         out = np.log1p(t / tau)
     else:
         out = ((t + tau) ** s - tau**s) / s

@@ -4,19 +4,20 @@ All paths target the same hierarchy: a (truncated) CRM draw gives node
 weights, the directed multigraph is Poisson given the squared total mass,
 and the undirected graph keeps one edge per connected unordered pair. The
 truncated path draws the CRM atoms above eps by exact Poisson thinning of
-closed-form envelopes. The gamma-process urn and the Kallenberg
-construction, which maps unit-rate marks through the numerically inverted
-tail intensity, are independent, distributionally equivalent alternatives
-used for cross-validation.
+closed-form envelopes. The gamma-process urn, the Kallenberg construction
+(unit-rate marks through the numerically inverted tail intensity) and the
+compound Poisson jumps of a sigma < 0 GGP are independent, distributionally
+equivalent alternatives used for cross-validation. Every path finishes a
+draw by the same rules: a draw with no atoms is an empty graph, isolated
+nodes drop, and self-loops drop when include_self_loops is false.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaincinv, gammaln
 
-from .errors import DegenerateMassError, DomainError
+from .errors import DomainError
 from .graphs import (
     BipartiteGraph,
     CrmSample,
@@ -130,14 +131,19 @@ def sample_crm_truncated(params, eps, rng):
     return CrmSample(w, theta, remainder_mass=expected_truncation_mass(params, eps))
 
 
+def _endpoints(w, n, rng):
+    """n i.i.d. indices into w, each drawn with probability proportional to w."""
+    if n == 0:
+        return np.empty(0, np.int64)
+    return rng.choice(len(w), size=n, p=w / w.sum())
+
+
 def _directed_conditional(sample, rng):
     """Directed multigraph given weights, plus the node -> atom index map."""
     w = sample.weights
     total = w.sum()
-    if total <= 0:
-        raise DegenerateMassError("total weight mass is zero")
     n_edges = rng.poisson(total * total)
-    endpoints = rng.choice(len(w), size=2 * n_edges, p=w / total)
+    endpoints = _endpoints(w, 2 * n_edges, rng)
     labels, atom_ids = _first_appearance_relabel(endpoints)
     return DirectedMultigraph(len(atom_ids), labels[0::2], labels[1::2]), atom_ids
 
@@ -204,10 +210,11 @@ def sample_gamma_urn(alpha, tau, rng):
     return DirectedMultigraph(n_distinct, labels[0::2], labels[1::2])
 
 
-def _bernoulli_pair_edges(w, rng, include_self_loops, chunk=512):
-    """Pairwise Bernoulli edges with p_ij = 1 - exp(-2 w_i w_j), chunked in rows."""
+def _bernoulli_pair_edges(w, rng, chunk=512):
+    """Edges i < j with p_ij = 1 - exp(-2 w_i w_j) and self-loops with
+    p_ii = 1 - exp(-w_i^2), drawn in chunks of rows."""
     k = len(w)
-    ei, ej = [], []
+    ei, ej = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for start in range(0, k, chunk):
         stop = min(start + chunk, k)
         rows = np.arange(start, stop)
@@ -219,14 +226,11 @@ def _bernoulli_pair_edges(w, rng, include_self_loops, chunk=512):
         r, c = np.nonzero(mask & tri)
         ei.append(rows[r])
         ej.append(c)
-        if include_self_loops:
-            p_loop = -np.expm1(-(w[rows] ** 2))
-            loop = rng.random(len(rows)) < p_loop
-            ei.append(rows[loop])
-            ej.append(rows[loop])
-    ei = np.concatenate(ei) if ei else np.empty(0, np.int64)
-    ej = np.concatenate(ej) if ej else np.empty(0, np.int64)
-    return ei.astype(np.int64), ej.astype(np.int64)
+        p_loop = -np.expm1(-(w[rows] ** 2))
+        loop = rng.random(len(rows)) < p_loop
+        ei.append(rows[loop])
+        ej.append(rows[loop])
+    return np.concatenate(ei), np.concatenate(ej)
 
 
 def sample_kallenberg(params, eps, rng):
@@ -243,8 +247,8 @@ def sample_kallenberg(params, eps, rng):
     bound = params.alpha * tail_intensity(params, eps)
     k = rng.poisson(bound)
     marks = rng.uniform(0.0, bound, size=k)
-    w = inv_tail_intensity(params, marks / params.alpha) if k else np.empty(0)
-    ei, ej = _bernoulli_pair_edges(np.asarray(w), rng, include_self_loops=True)
+    w = inv_tail_intensity(params, marks / params.alpha)
+    ei, ej = _bernoulli_pair_edges(w, rng)
     return _drop_isolated(ei, ej)[0]
 
 
@@ -271,7 +275,10 @@ def sample_compound_poisson_graph(alpha, weight_cdf_inverse, rng, include_self_l
         raise DomainError("alpha must be positive")
     n = rng.poisson(alpha)
     w = np.asarray(weight_cdf_inverse(rng.uniform(size=n)), dtype=float)
-    ei, ej = _bernoulli_pair_edges(w, rng, include_self_loops)
+    ei, ej = _bernoulli_pair_edges(w, rng)
+    if not include_self_loops:
+        keep = ei != ej
+        ei, ej = ei[keep], ej[keep]
     return UndirectedGraph(n, ei, ej)
 
 
@@ -280,13 +287,9 @@ def sample_bipartite(params, params_prime, eps, rng):
     left_crm = sample_crm_truncated(params, eps, rng)
     right_crm = sample_crm_truncated(params_prime, eps, rng)
     wl, wr = left_crm.weights, right_crm.weights
-    if wl.sum() <= 0 or wr.sum() <= 0:
-        return BipartiteGraph(0, 0, [], [])
     n_edges = rng.poisson(wl.sum() * wr.sum())
-    li = rng.choice(len(wl), size=n_edges, p=wl / wl.sum())
-    ri = rng.choice(len(wr), size=n_edges, p=wr / wr.sum())
-    left, left_ids = _first_appearance_relabel(li)
-    right, right_ids = _first_appearance_relabel(ri)
+    left, left_ids = _first_appearance_relabel(_endpoints(wl, n_edges, rng))
+    right, right_ids = _first_appearance_relabel(_endpoints(wr, n_edges, rng))
     return BipartiteGraph(len(left_ids), len(right_ids), left, right)
 
 
@@ -294,37 +297,36 @@ def gamma_weight_quantile(sigma, tau):
     """H^-1 for the sigma < 0 GGP, whose jumps are i.i.d. Gamma(-sigma, tau)."""
     if sigma >= 0 or tau <= 0:
         raise DomainError("gamma jumps require sigma < 0 and tau > 0")
-    return lambda u: gamma_dist.ppf(u, -sigma, scale=1.0 / tau)
+    return lambda u: gammaincinv(-sigma, u) * (1.0 / tau)
 
 
-def _urn_path(config, rng):
-    z = to_undirected(sample_gamma_urn(config.params.alpha, config.params.tau, rng))
-    return z if config.include_self_loops else _strip_self_loops(z)[0]
-
-
-def _compound_poisson_path(config, rng):
+def _compound_poisson_path(params, eps, rng):
     # finite activity only: Poisson(alpha rhobar(0+)) gamma jumps, and, as
     # on the other paths, nodes without an edge are not part of the graph
-    p = config.params
-    hinv = gamma_weight_quantile(p.sigma, p.tau)
-    z = sample_compound_poisson_graph(
-        p.alpha * total_tail_mass(p), hinv, rng, config.include_self_loops
-    )
+    hinv = gamma_weight_quantile(params.sigma, params.tau)
+    z = sample_compound_poisson_graph(params.alpha * total_tail_mass(params), hinv, rng)
     return _drop_isolated(z.edge_i, z.edge_j)[0]
 
 
+# the cross-validation paths: each keeps its self-loops and has no isolated nodes
 _PATH_SAMPLERS = {
-    "truncated": lambda config, rng: sample_undirected_ggp(config, rng)[0],
-    "urn": _urn_path,
-    "kallenberg": lambda config, rng: sample_kallenberg(
-        config.params, config.truncation_eps, rng),
+    "urn": lambda params, eps, rng: to_undirected(
+        sample_gamma_urn(params.alpha, params.tau, rng)),
+    "kallenberg": sample_kallenberg,
     "compound-poisson": _compound_poisson_path,
 }
-SIM_PATHS = tuple(_PATH_SAMPLERS)
+SIM_PATHS = ("truncated", *_PATH_SAMPLERS)
 
 
 def sample_graph(config, rng=None):
-    """Dispatch one undirected draw over the configured generative path."""
+    """Dispatch one undirected draw over the configured generative path.
+
+    The truncated path drops self-loops itself, to keep its ground truth
+    aligned; the others drop them here.
+    """
     if rng is None:
         rng = rng_stream(config.seed)
-    return _PATH_SAMPLERS[config.path](config, rng)
+    if config.path == "truncated":
+        return sample_undirected_ggp(config, rng)[0]
+    z = _PATH_SAMPLERS[config.path](config.params, config.truncation_eps, rng)
+    return z if config.include_self_loops else _strip_self_loops(z)[0]

@@ -85,9 +85,11 @@ def test_fit_golden_reproducible(small_graph, tmp_path):
 
 def test_test_sparsity_json(small_graph, tmp_path, capsys):
     out = str(tmp_path / "res.json")
+    trace = str(tmp_path / "trace.csv")
     code = run(["test-sparsity", small_graph, "--n-iter", "400",
-                "--n-chains", "2", "--seed", "0", "--out", out])
+                "--n-chains", "2", "--seed", "0", "--out", out, "--trace-out", trace])
     assert code == 0
+    assert open(trace).readline().strip() == "iteration,chain,alpha,sigma,tau,w_star,log_post"
     doc = json.load(open(out))
     for key in ("p_sparse", "ci_sigma", "max_psrf", "runtime"):
         assert key in doc

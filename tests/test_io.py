@@ -100,6 +100,12 @@ def test_read_bipartite_edge_list(tmp_path):
     assert g.n_edges == 3
 
 
+def test_bipartite_ingest_counts_lines_and_duplicates(tmp_path):
+    res = read_bipartite_edge_list(write(tmp_path, "1 100\n2 100\n1 200\n1 100\n"))
+    assert res.n_lines == 4
+    assert res.n_duplicates == 1
+
+
 def random_traces(seed=0, n=50, chains=2):
     rng = np.random.default_rng(seed)
     out = []

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.stats import ks_2samp
+from scipy.stats import expon, ks_2samp, kstest
 
 from crmgraph import simulate
 from crmgraph.errors import DomainError
@@ -120,6 +125,31 @@ def test_thinning_never_inverts_the_tail(monkeypatch):
     # the patch is live: tau = 0 still inverts the tail in closed form
     with pytest.raises(AssertionError):
         sample_crm_truncated(GgpParams(50.0, 0.5, 0.0), 1e-4, rng)
+
+
+def test_tau_zero_weights_follow_the_stable_tail():
+    # tau = 0: rhobar(x) is proportional to x^(-sigma), so the atom count is
+    # Poisson(alpha rhobar(eps)) and sigma log(w / eps) is exactly Exp(1)
+    p = GgpParams(50.0, 0.5, 0.0)
+    eps = 1e-4
+    rng = rng_stream(40, 0)
+    draws = [_crm_weights(p, eps, rng)[0] for _ in range(200)]
+    lam = p.alpha * tail_intensity(p, eps)
+    assert abs(np.mean([len(w) for w in draws]) - lam) <= 4.0 * np.sqrt(lam / len(draws))
+    w = np.concatenate(draws)
+    assert np.all(np.isfinite(w)) and np.all(w > eps)
+    assert kstest(p.sigma * np.log(w / eps), expon.cdf).pvalue > 0.01
+
+
+def test_zero_atom_draw_is_an_empty_graph():
+    # about 0.1 atoms are expected here, and this seed draws none
+    cfg = SimConfig(params=GgpParams(0.05, -0.5, 1.0), truncation_eps=1e-3, seed=0)
+    assert len(sample_crm_truncated(cfg.params, cfg.truncation_eps, rng_stream(0)).weights) == 0
+    z = sample_graph(cfg)
+    assert (z.n_nodes, z.n_edges) == (0, 0)
+    z, gt = sample_undirected_ggp(cfg)
+    assert z.n_nodes == 0
+    assert len(gt.weights) == 0 and len(gt.locations) == 0
 
 
 def test_directed_conditional_moments():
@@ -254,6 +284,29 @@ def test_sample_graph_dispatch():
         cfg = SimConfig(params=p, truncation_eps=1e-3, seed=3, path=path)
         z = sample_graph(cfg)
         assert isinstance(z, UndirectedGraph)
+
+
+@pytest.mark.parametrize("path,p", [
+    ("truncated", GgpParams(20, 0.5, 1.0)),
+    ("urn", GgpParams(20, 0.0, 1.0)),
+    ("kallenberg", GgpParams(20, 0.5, 1.0)),
+    ("compound-poisson", GgpParams(20, -1.0, 1.0)),
+])
+def test_every_path_drops_self_loops_when_asked(path, p):
+    kept = sample_graph(SimConfig(params=p, truncation_eps=1e-3, seed=3, path=path))
+    assert np.any(kept.edge_i == kept.edge_j)   # the seed draws loops to drop
+    z = sample_graph(SimConfig(params=p, truncation_eps=1e-3, seed=3, path=path,
+                               include_self_loops=False))
+    assert np.all(z.edge_i != z.edge_j)
+    assert np.all(z.degree >= 1)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(simulate.__file__).parents[1])
+    code = "import sys, crmgraph; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("sigma,tau", [(-0.5, 1.0), (-1.0, 0.5)])
