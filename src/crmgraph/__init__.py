@@ -21,26 +21,21 @@ from .errors import (
     NonPositiveAlphaError,
     NotInvertibleError,
     OutOfRegionError,
-    OverlapError,
     ParseError,
     SchemaError,
     TooFewChainsError,
     TooFewSamplesError,
 )
 from .graphio import (
-    EdgeListSource,
     read_edge_list,
     read_trace_csv,
     write_edge_list,
     write_trace_csv,
 )
 from .graphs import (
-    BipartiteGraph,
     CrmSample,
     DirectedMultigraph,
     UndirectedGraph,
-    degree_histogram,
-    group_link_probability,
     multigraph_degree_fractions,
     to_undirected,
 )
@@ -49,16 +44,12 @@ from .inference import (
     McmcConfig,
     McmcState,
     grad_log_posterior,
-    load_state,
     log_posterior,
-    run_bipartite_gibbs,
     run_chain,
     run_chains,
-    save_state,
 )
 from .levy import (
     inv_tail_intensity,
-    kappa,
     laplace_exponent,
     levy_density,
     tail_intensity,
@@ -66,10 +57,8 @@ from .levy import (
 from .params import GgpParams, rng_stream
 from .simulate import (
     SimConfig,
-    sample_bipartite,
     sample_crm_truncated,
     sample_directed_conditional,
-    sample_er_equivalent,
     sample_gamma_urn,
     sample_graph,
     sample_kallenberg,

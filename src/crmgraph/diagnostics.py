@@ -4,7 +4,7 @@ posterior-predictive and scaling checks.
 Everything here is a pure function of traces or freshly simulated graphs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -25,8 +25,6 @@ from .simulate import (
 class PsrfReport:
     psrf: dict                      # parameter name -> R hat
     max_psrf: float
-    chain_means: dict = field(default_factory=dict)
-    chain_vars: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -80,19 +78,12 @@ def psrf(traces, params=PARAM_FIELDS):
     cols = _trace_columns(traces, params)
     if not cols:
         raise TooFewSamplesError("no overlapping records for the requested parameters")
-    report, means, variances = {}, {}, {}
+    report = {}
     for name, mat in cols.items():
         if mat.shape[1] < 10:
             raise TooFewSamplesError("psrf requires at least 10 kept samples per chain")
         report[name] = _psrf_scalar(mat)
-        means[name] = mat.mean(axis=1)
-        variances[name] = mat.var(axis=1, ddof=1)
-    return PsrfReport(
-        psrf=report,
-        max_psrf=float(max(report.values())),
-        chain_means=means,
-        chain_vars=variances,
-    )
+    return PsrfReport(psrf=report, max_psrf=float(max(report.values())))
 
 
 def credible_interval(trace, level):
@@ -111,9 +102,9 @@ def credible_interval(trace, level):
 
 def sparsity_test(traces):
     """Pr(sigma >= 0 | data) from pooled kept draws, with a 99% CI for sigma."""
-    sigma = np.concatenate([np.asarray(t["sigma"], dtype=float) for t in traces])
-    if len(sigma) == 0:
+    if sum(len(t) for t in traces) == 0:
         raise TooFewSamplesError("sparsity test requires kept draws")
+    sigma = np.concatenate([np.asarray(t["sigma"], dtype=float) for t in traces])
     p_sparse = float(np.mean(sigma >= 0.0))
     ci = credible_interval(sigma, 0.99)
     max_r, warning = None, None
@@ -168,11 +159,11 @@ def posterior_predictive_degrees(traces, n_draws, eps, observed=None, seed=0):
     """
     if n_draws < 1:
         raise TooFewSamplesError("n_draws must be >= 1")
+    if sum(len(t) for t in traces) == 0:
+        raise TooFewSamplesError("posterior predictive requires kept draws")
     alpha = np.concatenate([t["alpha"] for t in traces])
     sigma = np.concatenate([t["sigma"] for t in traces])
     tau = np.concatenate([t["tau"] for t in traces])
-    if len(alpha) == 0:
-        raise TooFewSamplesError("posterior predictive requires kept draws")
 
     rng = rng_stream(seed, 10_000)
     idx = rng.integers(0, len(alpha), size=n_draws)
@@ -235,6 +226,9 @@ def scaling_experiment(sigma, tau, alpha_grid, seeds, eps=1e-6):
             edges_a.append(z.n_edges)
         med_nodes.append(np.median(nodes_a))
         med_edges.append(np.median(edges_a))
+        if med_edges[-1] == 0:
+            raise DomainError(f"the median graph at alpha={a} has no edges; "
+                              "the log-log slope is undefined")
     slope = fit_loglog_slope(med_nodes, med_edges)
     return rows, slope
 

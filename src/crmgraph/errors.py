@@ -21,10 +21,6 @@ class NotInvertibleError(CrmGraphError, ValueError):
     """Requested tail-intensity level exceeds the total mass (finite activity)."""
 
 
-class OverlapError(CrmGraphError, ValueError):
-    pass
-
-
 class InconsistentStateError(CrmGraphError, ValueError):
     pass
 

@@ -1,4 +1,4 @@
-"""Edge-list ingestion, trace serialization, and provenance sidecars."""
+"""Undirected edge-list ingestion, trace serialization, and provenance sidecars."""
 
 import csv
 import json
@@ -7,12 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGraphError, ParseError, SchemaError
-from .graphs import (
-    BipartiteGraph,
-    DirectedMultigraph,
-    UndirectedGraph,
-    _first_appearance_relabel,
-)
+from .graphs import UndirectedGraph, _first_appearance_relabel
 from .inference import TRACE_FIELDS, ChainTrace
 
 TRACE_HEADER = ["iteration", "chain", *TRACE_FIELDS]
@@ -20,15 +15,9 @@ SIDECAR_SCHEMA_VERSION = 1
 COMMENT_PREFIXES = ("#", "%")
 
 
-@dataclass(frozen=True)
-class EdgeListSource:
-    path: str
-    directed: bool = False
-
-
 @dataclass
 class IngestResult:
-    graph: object
+    graph: UndirectedGraph
     id_map: dict                    # external id -> contiguous id
     n_lines: int                    # edge lines read
     n_duplicates: int               # edge lines merged into an earlier pair
@@ -52,61 +41,33 @@ def _parse_lines(path):
     return pairs
 
 
-def read_edge_list(source):
-    """Parse a SNAP-style edge list into a graph with contiguous node ids.
+def read_edge_list(path):
+    """Parse a SNAP-style edge list into an undirected graph with contiguous node ids.
 
     Lines starting with '#' or '%' and blank lines are skipped; duplicate
-    edges (including reversed duplicates in the undirected case) collapse;
-    self-loops are kept. Nodes are numbered by first appearance.
+    edges, reversed duplicates included, collapse; self-loops are kept.
+    Nodes are numbered by first appearance.
     """
-    if isinstance(source, str):
-        source = EdgeListSource(source)
-    pairs = _parse_lines(source.path)
+    pairs = _parse_lines(path)
     if not pairs:
-        raise EmptyGraphError(f"no edges found in {source.path}")
+        raise EmptyGraphError(f"no edges found in {path}")
 
     labels, ids = _first_appearance_relabel(np.asarray(pairs).ravel())
     edges = labels.reshape(-1, 2)
     id_map = dict(zip(ids.tolist(), range(len(ids))))
-    if source.directed:
-        graph = DirectedMultigraph(len(ids), edges[:, 0], edges[:, 1])
-        n_stored = len(graph.src)
-    else:
-        graph = UndirectedGraph(len(ids), edges[:, 0], edges[:, 1])
-        n_stored = graph.n_edges
-    return IngestResult(graph=graph, id_map=id_map, n_lines=len(pairs),
-                        n_duplicates=len(pairs) - n_stored)
-
-
-def read_bipartite_edge_list(source):
-    """Edge list where column 1 indexes the left set and column 2 the right set."""
-    if isinstance(source, str):
-        source = EdgeListSource(source)
-    pairs = _parse_lines(source.path)
-    if not pairs:
-        raise EmptyGraphError(f"no edges found in {source.path}")
-    pairs = np.asarray(pairs)
-    li, left_ids = _first_appearance_relabel(pairs[:, 0])
-    ri, right_ids = _first_appearance_relabel(pairs[:, 1])
-    graph = BipartiteGraph(len(left_ids), len(right_ids), li, ri)
-    id_map = {
-        "left": dict(zip(left_ids.tolist(), range(len(left_ids)))),
-        "right": dict(zip(right_ids.tolist(), range(len(right_ids)))),
-    }
+    graph = UndirectedGraph(len(ids), edges[:, 0], edges[:, 1])
     return IngestResult(graph=graph, id_map=id_map, n_lines=len(pairs),
                         n_duplicates=len(pairs) - graph.n_edges)
 
 
 def write_edge_list(graph, path, header=None):
+    """Write an undirected graph's edges one "i j" pair per line, header lines as comments."""
     with open(path, "w") as fh:
         if header:
             for line in header.splitlines():
                 fh.write(f"# {line}\n")
-        if isinstance(graph, DirectedMultigraph):
-            a, b = np.repeat(graph.src, graph.counts), np.repeat(graph.dst, graph.counts)
-        else:
-            a, b = graph.edge_i, graph.edge_j
-        fh.writelines(f"{i} {j}\n" for i, j in zip(a.tolist(), b.tolist()))
+        fh.writelines(f"{i} {j}\n"
+                      for i, j in zip(graph.edge_i.tolist(), graph.edge_j.tolist()))
 
 
 def _fmt(x):

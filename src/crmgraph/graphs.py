@@ -1,41 +1,41 @@
 """Graph value types and structural transforms.
 
 Each graph type is built from raw endpoint pairs: it checks ids against
-its shape (DomainError if out of range), merges repeated pairs and stores
+its node count (DomainError if out of range), merges repeated pairs and stores
 them sorted. A directed multigraph counts ordered pairs; its undirected
 restriction keeps one edge per connected unordered pair (self-loops
-allowed); a bipartite graph counts left-right pairs.
+allowed).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, OverlapError
+from .errors import DomainError
 
 
-def _merge_pairs(n_a, n_b, a, b, counts=None):
-    """Pairs (a, b) over [0, n_a) x [0, n_b), each stored once, sorted by (a, b).
+def _merge_pairs(n, a, b, counts=None):
+    """Pairs (a, b) over [0, n) x [0, n), each stored once, sorted by (a, b).
 
     Repeated pairs add their counts, or count one per listed pair when
-    counts is None; one np.unique of the key a * n_b + b merges and sorts.
+    counts is None; one np.unique of the key a * n + b merges and sorts.
     Returns the stored a, b and counts.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    for ids, n in ((a, n_a), (b, n_b)):
+    for ids in (a, b):
         if len(ids) and (ids.min() < 0 or ids.max() >= n):
             raise DomainError(f"node id out of range [0, {n})")
     if counts is None:
-        keys, merged = np.unique(a * n_b + b, return_counts=True)
+        keys, merged = np.unique(a * n + b, return_counts=True)
     else:
         counts = np.asarray(counts, dtype=np.int64)
         if np.any(counts < 1):
             raise DomainError("pair counts must be >= 1")
-        keys, inverse = np.unique(a * n_b + b, return_inverse=True)
+        keys, inverse = np.unique(a * n + b, return_inverse=True)
         merged = np.zeros(len(keys), dtype=np.int64)
         np.add.at(merged, inverse, counts)
-    return keys // n_b, keys % n_b, merged
+    return keys // n, keys % n, merged
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +48,7 @@ class DirectedMultigraph:
     counts: np.ndarray = None
 
     def __post_init__(self):
-        pairs = _merge_pairs(self.n_nodes, self.n_nodes, self.src, self.dst, self.counts)
+        pairs = _merge_pairs(self.n_nodes, self.src, self.dst, self.counts)
         for name, value in zip(("src", "dst", "counts"), pairs):
             object.__setattr__(self, name, value)
 
@@ -81,7 +81,7 @@ class UndirectedGraph:
 
     def __post_init__(self):
         i, j = self.edge_i, self.edge_j
-        lo, hi, _ = _merge_pairs(self.n_nodes, self.n_nodes, np.minimum(i, j), np.maximum(i, j))
+        lo, hi, _ = _merge_pairs(self.n_nodes, np.minimum(i, j), np.maximum(i, j))
         object.__setattr__(self, "edge_i", lo)
         object.__setattr__(self, "edge_j", hi)
         # a self-loop contributes 1 to the degree statistics
@@ -93,30 +93,6 @@ class UndirectedGraph:
     def n_edges(self):
         """N^(e): number of distinct unordered edges, self-loops included."""
         return len(self.edge_i)
-
-    def has_edge(self, i, j):
-        lo, hi = min(i, j), max(i, j)
-        return bool(np.any((self.edge_i == lo) & (self.edge_j == hi)))
-
-
-@dataclass(frozen=True, eq=False)
-class BipartiteGraph:
-    """Edge counts between a left and a right node set; within-side edges impossible."""
-
-    n_left: int
-    n_right: int
-    left: np.ndarray
-    right: np.ndarray
-    counts: np.ndarray = None
-
-    def __post_init__(self):
-        pairs = _merge_pairs(self.n_left, self.n_right, self.left, self.right, self.counts)
-        for name, value in zip(("left", "right", "counts"), pairs):
-            object.__setattr__(self, name, value)
-
-    @property
-    def n_edges(self):
-        return len(self.left)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +110,6 @@ class CrmSample:
         if self.remainder_mass < 0:
             raise DomainError("remainder mass must be >= 0")
 
-    @property
-    def total_mass(self):
-        return float(self.weights.sum())
-
 
 def _first_appearance_relabel(seq):
     """Map values of seq to contiguous ids in order of first appearance."""
@@ -152,12 +124,6 @@ def _first_appearance_relabel(seq):
 def to_undirected(d):
     """Undirected restriction: edge {i, j} iff n_ij + n_ji > 0."""
     return UndirectedGraph(d.n_nodes, d.src, d.dst)
-
-
-def degree_histogram(z):
-    """Map degree -> node count for an undirected graph; degrees sum to n_nodes."""
-    degs, counts = np.unique(z.degree, return_counts=True)
-    return {int(k): int(c) for k, c in zip(degs, counts)}
 
 
 def multigraph_degree_fractions(d, j_max):
@@ -178,17 +144,3 @@ def multigraph_degree_fractions(d, j_max):
     fractions[:] = hist[1 : j_max + 1] / n
     return fractions
 
-
-def group_link_probability(sample, a, b):
-    """P(at least one edge between disjoint node sets A and B) = 1 - e^(-2 W(A) W(B))."""
-    a = np.asarray(sorted(a), dtype=np.int64)
-    b = np.asarray(sorted(b), dtype=np.int64)
-    if len(np.intersect1d(a, b)) > 0:
-        raise OverlapError("node sets must be disjoint")
-    k = len(sample.weights)
-    for ids in (a, b):
-        if len(ids) and (ids.min() < 0 or ids.max() >= k):
-            raise DomainError("node id out of range for this CRM sample")
-    wa = float(sample.weights[a].sum())
-    wb = float(sample.weights[b].sum())
-    return float(-np.expm1(-2.0 * wa * wb))

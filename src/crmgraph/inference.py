@@ -6,22 +6,19 @@ HMC updates the log-weights, a joint Metropolis-Hastings block with an
 exponentially tilted total-mass proposal updates (alpha, sigma, tau, w*)
 without ever evaluating the intractable total-mass density, and the
 latent counts are drawn from their zero-truncated Poisson conditional.
-Each hyperparameter carries an improper 1/x prior. A conjugate Gibbs sweep
-handles bipartite graphs.
+Each hyperparameter carries an improper 1/x prior.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, InconsistentStateError, SchemaError
-from .levy import laplace_exponent, log_kappa
+from .errors import DomainError, InconsistentStateError
+from .levy import laplace_exponent
 from .params import GgpParams, rng_stream
 from .totalmass import sample_tilted_total_mass, sample_truncated_poisson
 
-STATE_SCHEMA_VERSION = 1
 PARAM_FIELDS = ("alpha", "sigma", "tau", "w_star")  # McmcState scalars a trace keeps
 TRACE_FIELDS = PARAM_FIELDS + ("log_post",)
 
@@ -56,10 +53,14 @@ class McmcConfig:
     def __post_init__(self):
         if self.n_iter < 0 or self.thin < 1 or self.leapfrog_steps < 1:
             raise DomainError("n_iter >= 0, thin >= 1, leapfrog_steps >= 1 required")
+        if self.n_chains < 1:
+            raise DomainError(f"n_chains must be >= 1, got {self.n_chains}")
         if not 0.0 < self.target_accept < 1.0:
             raise DomainError("target_accept must be in (0, 1)")
         if self.adapt_iters is None:
             self.adapt_iters = self.n_iter // 4
+        if self.adapt_iters < 0:
+            raise DomainError(f"adapt_iters must be >= 0, got {self.adapt_iters}")
 
 
 @dataclass
@@ -68,7 +69,6 @@ class ChainTrace:
 
     records: dict
     omega: np.ndarray = None
-    omega_stride: int = 0
     accept_rates: dict = field(default_factory=dict)
     chain_id: int = 0
     meta: dict = field(default_factory=dict)
@@ -257,17 +257,17 @@ class _DualAveraging:
         return float(np.exp(self.log_eps_bar))
 
 
-def run_chain(graph, config, rng=None, chain_id=0):
+def run_chain(graph, config, chain_id=0):
     """One chain of the HMC-within-Gibbs sampler on an undirected graph.
 
     Sweep order: HMC on log-weights, joint hyperparameter block, latent
     counts. The stepsize adapts for the first adapt_iters iterations
-    (which double as burn-in), then freezes.
+    (which double as burn-in), then freezes. Chain c draws from
+    rng_stream(config.seed, c).
     """
     if graph.n_edges < 1:
         raise DomainError("inference requires a graph with at least one edge")
-    if rng is None:
-        rng = rng_stream(config.seed, chain_id)
+    rng = rng_stream(config.seed, chain_id)
     state = init_state(graph, rng)
     latent_update(state, graph, rng)                # start latent at its conditional
 
@@ -306,7 +306,6 @@ def run_chain(graph, config, rng=None, chain_id=0):
     return ChainTrace(
         records={k: np.asarray(v) for k, v in recs.items()},
         omega=np.asarray(omega_snaps) if omega_snaps else None,
-        omega_stride=config.omega_record_stride,
         accept_rates={
             "hmc": accept["hmc"] / max(config.n_iter, 1),
             "hyper": accept["hyper"] / max(config.n_iter, 1),
@@ -329,148 +328,5 @@ def run_chain(graph, config, rng=None, chain_id=0):
 
 def run_chains(graph, config):
     """Independent chains on separate random streams."""
-    return [
-        run_chain(graph, config, rng_stream(config.seed, c), chain_id=c)
-        for c in range(config.n_chains)
-    ]
+    return [run_chain(graph, config, chain_id=c) for c in range(config.n_chains)]
 
-
-# ---------------------------------------------------------------------------
-# bipartite sampler
-# ---------------------------------------------------------------------------
-
-def bipartite_log_marginal(alpha, sigma, tau, m, t_other):
-    """log marginal likelihood of one side given the other side's total mass.
-
-    -alpha psi(T') + N log alpha + sum_i log kappa(m_i, T') for the GGP.
-    """
-    p = GgpParams(alpha, sigma, tau)
-    return (-alpha * laplace_exponent(p, t_other) + len(m) * np.log(alpha)
-            + float(log_kappa(p, m, t_other).sum()))
-
-
-def _bipartite_side_update(w, w_star, alpha, sigma, tau, m, t_other, config, rng,
-                           update_tau=True):
-    """MH on hyperparameters then conjugate draws for one side's weights and mass."""
-    alpha_p = alpha * np.exp(config.rw_sd * rng.standard_normal())
-    sigma_p = 1.0 - (1.0 - sigma) * np.exp(config.rw_sd * rng.standard_normal())
-    tau_p = tau * np.exp(config.rw_sd * rng.standard_normal()) if update_tau else tau
-    # the improper 1/x prior of each parameter cancels against its lognormal
-    # random-walk proposal
-    log_r = (
-        bipartite_log_marginal(alpha_p, sigma_p, tau_p, m, t_other)
-        - bipartite_log_marginal(alpha, sigma, tau, m, t_other)
-    )
-    accepted = np.isfinite(log_r) and np.log(rng.uniform()) < log_r
-    if accepted:
-        alpha, sigma, tau = alpha_p, sigma_p, tau_p
-
-    rate = tau + t_other
-    w = rng.gamma(np.asarray(m, dtype=float) - sigma, 1.0 / rate)
-    w_star = sample_tilted_total_mass(GgpParams(alpha, sigma, tau), t_other, rng)
-    return w, w_star, alpha, sigma, tau, accepted
-
-
-def run_bipartite_gibbs(graph, config, rng=None, chain_id=0):
-    """Gibbs sampler for the bipartite model; tau' is pinned at 1."""
-    if graph.n_edges < 1:
-        raise DomainError("inference requires a graph with at least one edge")
-    if rng is None:
-        rng = rng_stream(config.seed, chain_id)
-
-    nl, nr = graph.n_left, graph.n_right
-    counts = np.ones(graph.n_edges, dtype=np.int64)
-    m = np.bincount(graph.left, weights=counts, minlength=nl).astype(np.int64)
-    m_p = np.bincount(graph.right, weights=counts, minlength=nr).astype(np.int64)
-
-    alpha, sigma, tau = float(nl), 0.0, 1.0
-    alpha_p, sigma_p = float(nr), 0.0
-    w = m / np.sqrt(m.sum())
-    w_p = m_p / np.sqrt(m_p.sum())
-    w_star, w_star_p = 0.1, 0.1
-    sigma = float(np.clip(0.1 * rng.standard_normal(), -0.5, 0.5))
-    sigma_p = float(np.clip(0.1 * rng.standard_normal(), -0.5, 0.5))
-
-    burn = min(config.adapt_iters, config.n_iter)
-    names = ("alpha", "sigma", "tau", "w_star", "alpha_right", "sigma_right",
-             "w_star_right", "log_ml")
-    recs = {k: [] for k in names}
-    acc = {"left": 0, "right": 0}
-
-    for it in range(config.n_iter):
-        t_right = float(w_p.sum() + w_star_p)
-        w, w_star, alpha, sigma, tau, a1 = _bipartite_side_update(
-            w, w_star, alpha, sigma, tau, m, t_right, config, rng, update_tau=True)
-        counts = sample_truncated_poisson(w[graph.left] * w_p[graph.right], rng)
-        m = np.bincount(graph.left, weights=counts, minlength=nl).astype(np.int64)
-        m_p = np.bincount(graph.right, weights=counts, minlength=nr).astype(np.int64)
-
-        t_left = float(w.sum() + w_star)
-        w_p, w_star_p, alpha_p, sigma_p, _, a2 = _bipartite_side_update(
-            w_p, w_star_p, alpha_p, sigma_p, 1.0, m_p, t_left, config, rng,
-            update_tau=False)
-        acc["left"] += a1
-        acc["right"] += a2
-        if it >= burn and (it - burn) % config.thin == 0:
-            recs["alpha"].append(alpha)
-            recs["sigma"].append(sigma)
-            recs["tau"].append(tau)
-            recs["w_star"].append(w_star)
-            recs["alpha_right"].append(alpha_p)
-            recs["sigma_right"].append(sigma_p)
-            recs["w_star_right"].append(w_star_p)
-            recs["log_ml"].append(
-                bipartite_log_marginal(alpha, sigma, tau, m, t_left))
-    return ChainTrace(
-        records={k: np.asarray(v) for k, v in recs.items()},
-        accept_rates={k: v / max(config.n_iter, 1) for k, v in acc.items()},
-        chain_id=chain_id,
-        meta={"n_iter": config.n_iter, "burn": burn, "thin": config.thin},
-    )
-
-
-# ---------------------------------------------------------------------------
-# checkpointing
-# ---------------------------------------------------------------------------
-
-def save_state(state, path):
-    """Write an McmcState as a JSON blob; floats round-trip exactly."""
-    blob = {
-        "schema_version": STATE_SCHEMA_VERSION,
-        "omega": state.omega.tolist(),
-        "w_star": state.w_star,
-        "alpha": state.alpha,
-        "sigma": state.sigma,
-        "tau": state.tau,
-        "nbar": state.nbar.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
-
-
-def load_state(path, graph=None):
-    """Read an McmcState written by save_state.
-
-    Given the graph, the state's sizes and latent counts are checked
-    against it.
-    """
-    with open(path) as fh:
-        blob = json.load(fh)
-    if blob.get("schema_version") != STATE_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported state schema version {blob.get('schema_version')!r}")
-    state = McmcState(
-        omega=np.asarray(blob["omega"], dtype=float),
-        w_star=float(blob["w_star"]),
-        alpha=float(blob["alpha"]),
-        sigma=float(blob["sigma"]),
-        tau=float(blob["tau"]),
-        nbar=np.asarray(blob["nbar"], dtype=np.int64),
-    )
-    if graph is not None:
-        if len(state.omega) != graph.n_nodes or len(state.nbar) != graph.n_edges:
-            raise SchemaError(
-                f"state has {len(state.omega)} weights and {len(state.nbar)} edge counts; "
-                f"the graph has {graph.n_nodes} nodes and {graph.n_edges} edges"
-            )
-        _check_state(state, graph)
-    return state

@@ -134,28 +134,6 @@ def laplace_exponent(params, t):
     return float(out) if scalar else out
 
 
-def log_kappa(params, m, z):
-    """log kappa(m, z) = log int_0^inf w^m e^(-zw) rho(w) dw.
-
-    Closed form Gamma(m-sigma)/Gamma(1-sigma) (z+tau)^(sigma-m), evaluated
-    in log space; m may be an integer array.
-    """
-    m = np.asarray(m)
-    if np.any(m < 1):
-        raise DomainError("kappa requires m >= 1")
-    z = np.asarray(z, dtype=float)
-    s, tau = params.sigma, params.tau
-    if np.any(z + tau <= 0):
-        raise DomainError("kappa requires z + tau > 0")
-    return gammaln(m - s) - gammaln(1.0 - s) + (s - m) * np.log(z + tau)
-
-
-def kappa(params, m, z):
-    scalar = np.isscalar(m) and np.isscalar(z)
-    out = np.exp(log_kappa(params, m, z))
-    return float(out) if scalar else out
-
-
 def expected_truncation_mass(params, eps):
     """alpha * int_0^eps w rho(dw): mean weight mass lost below the threshold."""
     if eps <= 0:

@@ -33,10 +33,6 @@ class GgpParams:
                 f"sigma <= 0 requires tau > 0, got sigma={self.sigma}, tau={self.tau}"
             )
 
-    @property
-    def finite_activity(self):
-        return self.sigma < 0
-
     def with_tilt(self, c):
         """Parameters of the exponentially tilted process (tau -> tau + c)."""
         return GgpParams(self.alpha, self.sigma, self.tau + c)

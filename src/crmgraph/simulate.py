@@ -19,7 +19,6 @@ from scipy.special import gammaincinv, gammaln
 
 from .errors import DomainError
 from .graphs import (
-    BipartiteGraph,
     CrmSample,
     DirectedMultigraph,
     UndirectedGraph,
@@ -252,47 +251,6 @@ def sample_kallenberg(params, eps, rng):
     return _drop_isolated(ei, ej)[0]
 
 
-def sample_er_equivalent(alpha, w0, rng, include_self_loops=True):
-    """Erdos-Renyi equivalent (Dirac Levy measure at w0): G(Poisson(alpha), p).
-
-    Every pair is edged with p = 1 - exp(-2 w0^2); all Poisson(alpha)
-    declared nodes are kept, isolated or not.
-    """
-    if alpha <= 0 or w0 < 0:
-        raise DomainError("requires alpha > 0 and w0 >= 0")
-    return sample_compound_poisson_graph(
-        alpha, lambda u: np.full_like(u, w0), rng, include_self_loops
-    )
-
-
-def sample_compound_poisson_graph(alpha, weight_cdf_inverse, rng, include_self_loops=True):
-    """Graphon-style sampler for finite-activity measures with weight quantile H^-1.
-
-    n ~ Poisson(alpha); i.i.d. uniforms map through H^-1 to weights; pairs
-    are edged with 1 - exp(-2 w_i w_j). Declared nodes are all kept.
-    """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    n = rng.poisson(alpha)
-    w = np.asarray(weight_cdf_inverse(rng.uniform(size=n)), dtype=float)
-    ei, ej = _bernoulli_pair_edges(w, rng)
-    if not include_self_loops:
-        keep = ei != ej
-        ei, ej = ei[keep], ej[keep]
-    return UndirectedGraph(n, ei, ej)
-
-
-def sample_bipartite(params, params_prime, eps, rng):
-    """Bipartite graph: D* ~ Poisson(W* W'*); endpoints proportional to each side."""
-    left_crm = sample_crm_truncated(params, eps, rng)
-    right_crm = sample_crm_truncated(params_prime, eps, rng)
-    wl, wr = left_crm.weights, right_crm.weights
-    n_edges = rng.poisson(wl.sum() * wr.sum())
-    left, left_ids = _first_appearance_relabel(_endpoints(wl, n_edges, rng))
-    right, right_ids = _first_appearance_relabel(_endpoints(wr, n_edges, rng))
-    return BipartiteGraph(len(left_ids), len(right_ids), left, right)
-
-
 def gamma_weight_quantile(sigma, tau):
     """H^-1 for the sigma < 0 GGP, whose jumps are i.i.d. Gamma(-sigma, tau)."""
     if sigma >= 0 or tau <= 0:
@@ -301,10 +259,19 @@ def gamma_weight_quantile(sigma, tau):
 
 
 def _compound_poisson_path(params, eps, rng):
-    # finite activity only: Poisson(alpha rhobar(0+)) gamma jumps, and, as
-    # on the other paths, nodes without an edge are not part of the graph
+    """Graphon-style draw for finite activity (sigma < 0).
+
+    Poisson(alpha rhobar(0+)) i.i.d. Gamma(-sigma, tau) jumps; each pair is
+    edged with 1 - exp(-2 w_i w_j) and each node looped with 1 - exp(-w_i^2).
+    As on the other paths, nodes without an edge are not part of the graph.
+    DomainError for sigma >= 0.
+    """
     hinv = gamma_weight_quantile(params.sigma, params.tau)
-    z = sample_compound_poisson_graph(params.alpha * total_tail_mass(params), hinv, rng)
+    n = rng.poisson(params.alpha * total_tail_mass(params))
+    ei, ej = _bernoulli_pair_edges(hinv(rng.uniform(size=n)), rng)
+    # nodes are numbered from the merged, sorted edges: numbering from the raw
+    # pairs gives the same graph, but other node ids for a given seed
+    z = UndirectedGraph(n, ei, ej)
     return _drop_isolated(z.edge_i, z.edge_j)[0]
 
 

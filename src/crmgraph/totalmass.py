@@ -182,7 +182,7 @@ def sample_tilted_total_mass(params, tilt, rng):
     return sample_total_mass(params.with_tilt(tilt), rng)
 
 
-def sample_truncated_poisson(rate, rng, size=None):
+def sample_truncated_poisson(rate, rng):
     """Zero-truncated Poisson draws in one pass, exact at every rate.
 
     A zero-truncated Poisson(lam) count is one plus the arrivals of a
@@ -190,12 +190,10 @@ def sample_truncated_poisson(rate, rng, size=None):
     conditioned on T < lam: T = -log1p(u expm1(-lam)) by inversion, and
     X = 1 + Poisson(lam - T).
     """
-    scalar = size is None and np.isscalar(rate)
+    scalar = np.isscalar(rate)
     rate = np.atleast_1d(np.asarray(rate, dtype=float))
     if np.any(rate <= 0) or np.any(~np.isfinite(rate)):
         raise DomainError("truncated Poisson requires rate > 0")
-    if size is not None:
-        rate = np.broadcast_to(rate, (size,) if np.isscalar(size) else size)
     first = -np.log1p(rng.uniform(size=rate.shape) * np.expm1(-rate))
     out = 1 + rng.poisson(np.maximum(rate - first, 0.0))
     if scalar:

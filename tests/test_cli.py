@@ -30,6 +30,25 @@ def test_invalid_params_exit_1(tmp_path, capsys):
                 "--out", out]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["test-sparsity", "{graph}", "--n-iter", "20", "--n-chains", "0"],
+    ["fit", "{graph}", "--n-iter", "20", "--adapt-iters", "-5"],
+    ["ppc", "{empty_trace}"],
+    # alpha tau^sigma / -sigma jumps, 0.01 to 0.04 on average: the graphs are empty
+    ["scaling", "--sigma", "-1", "--tau", "1", "--alpha-grid", "0.01", "0.02", "0.04"],
+], ids=["n-chains-0", "negative-adapt-iters", "ppc-of-empty-trace", "scaling-empty-graphs"])
+def test_bad_run_settings_exit_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 0\n2 3\n")
+    empty_trace = str(tmp_path / "empty.csv")
+    assert run(["fit", str(graph), "--n-iter", "0", "--out", empty_trace]) == 0
+    capsys.readouterr()
+    argv = [a.format(graph=graph, empty_trace=empty_trace) for a in argv]
+    assert run(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sample_writes_graph_and_sidecar(tmp_path, capsys):
     out = str(tmp_path / "g.txt")
     code = run(["sample", "--alpha", "30", "--sigma", "0.5", "--tau", "1",

@@ -11,12 +11,11 @@ import hashlib
 
 import numpy as np
 
-from crmgraph.inference import McmcConfig, run_bipartite_gibbs, run_chain
-from crmgraph.params import GgpParams, rng_stream
-from crmgraph.simulate import SimConfig, sample_bipartite, sample_graph
+from crmgraph.inference import McmcConfig, run_chain
+from crmgraph.params import GgpParams
+from crmgraph.simulate import SimConfig, sample_graph
 
 RUN_CHAIN_SHA256 = "269be02d4753cbc74d89da694ba2d230d00efce8b9d16b2659026e797b776f57"
-BIPARTITE_SHA256 = "a5b36f0cc9512a7b66e129ef8029b034cd4fc81dfe11e04a6c49346149062617"
 SAMPLE_GRAPH_SHA256 = "7b857fc8308ceb190c60bce741ef173a9ef275d13325d5f5c44e39da946f2581"
 
 
@@ -54,13 +53,6 @@ def small_graph():
 def test_run_chain_digest():
     cfg = McmcConfig(n_iter=120, seed=3, thin=2, omega_record_stride=5)
     assert trace_sha256(run_chain(small_graph(), cfg)) == RUN_CHAIN_SHA256
-
-
-def test_bipartite_gibbs_digest():
-    g = sample_bipartite(GgpParams(20.0, 0.3, 1.0), GgpParams(20.0, 0.1, 1.0), 1e-4,
-                         rng_stream(11, 0))
-    trace = run_bipartite_gibbs(g, McmcConfig(n_iter=150, seed=4, rw_sd=0.05))
-    assert trace_sha256(trace) == BIPARTITE_SHA256
 
 
 def test_sample_graph_truncated_digest():

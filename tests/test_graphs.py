@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crmgraph.errors import DomainError, OverlapError
+from crmgraph.errors import DomainError
 from crmgraph.graphs import (
-    BipartiteGraph,
     CrmSample,
     DirectedMultigraph,
     UndirectedGraph,
-    degree_histogram,
-    group_link_probability,
     multigraph_degree_fractions,
     to_undirected,
 )
@@ -44,13 +41,6 @@ def test_undirected_restriction(three_node_multigraph):
     assert pairs == {(0, 1), (0, 2), (1, 1)}
 
 
-def test_degree_histogram(three_node_multigraph):
-    z = to_undirected(three_node_multigraph)
-    # self-loop contributes 1 to the undirected degree
-    assert degree_histogram(z) == {1: 1, 2: 2}
-    assert sum(degree_histogram(z).values()) == z.n_nodes
-
-
 def test_count_matrix(three_node_multigraph):
     m = three_node_multigraph.count_matrix()
     assert m[1, 1] == 4 and m[0, 1] == 2 and m[0, 2] == 1 and m[2, 0] == 3
@@ -72,9 +62,6 @@ def test_undirected_graph_sorts_and_orients_edges():
     lambda: DirectedMultigraph(2, [0], [-1]),
     lambda: UndirectedGraph(3, [0, 1], [1, 3]),
     lambda: UndirectedGraph(3, [-1], [0]),
-    lambda: BipartiteGraph(2, 3, [2], [0]),
-    lambda: BipartiteGraph(2, 3, [0], [3]),
-    lambda: BipartiteGraph(2, 3, [0], [-1]),
 ])
 def test_graph_types_reject_out_of_range_ids(build):
     with pytest.raises(DomainError):
@@ -94,17 +81,6 @@ def test_pair_counts_merge_across_repeats():
     d = DirectedMultigraph(3, [2, 0, 2, 0], [1, 1, 1, 0], counts=[3, 1, 4, 2])
     assert list(zip(d.src.tolist(), d.dst.tolist(), d.counts.tolist())) == [
         (0, 0, 2), (0, 1, 1), (2, 1, 7)]
-    g = BipartiteGraph(2, 2, [1, 0, 1], [0, 1, 0])
-    assert list(zip(g.left.tolist(), g.right.tolist(), g.counts.tolist())) == [
-        (0, 1, 1), (1, 0, 2)]
-    g = BipartiteGraph(2, 2, [1, 1], [0, 0], counts=[2, 5])
-    np.testing.assert_array_equal(g.counts, [7])
-
-
-def test_undirected_has_edge():
-    z = UndirectedGraph(3, [0, 1], [1, 1])
-    assert z.has_edge(1, 0) and z.has_edge(1, 1)
-    assert not z.has_edge(0, 2)
 
 
 def _brute_force_undirected(count_matrix):
@@ -151,19 +127,6 @@ def test_degree_fractions(three_node_multigraph):
         multigraph_degree_fractions(three_node_multigraph, 0)
 
 
-def test_group_link_probability():
-    s = CrmSample(np.array([0.5, 1.0, 2.0, 0.25]))
-    p = group_link_probability(s, [0, 1], [2])
-    assert p == pytest.approx(-np.expm1(-2.0 * 1.5 * 2.0), rel=1e-14)
-    assert 0.0 <= p <= 1.0
-    with pytest.raises(OverlapError):
-        group_link_probability(s, [0, 1], [1, 2])
-    with pytest.raises(DomainError):
-        group_link_probability(s, [0], [7])
-
-
-def test_crm_sample_total_mass_and_validation():
-    s = CrmSample(np.array([1.0, 2.5]), remainder_mass=0.1)
-    assert s.total_mass == pytest.approx(3.5)
+def test_crm_sample_rejects_negative_remainder_mass():
     with pytest.raises(DomainError):
         CrmSample(np.array([1.0]), remainder_mass=-0.5)

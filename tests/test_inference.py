@@ -1,28 +1,23 @@
 import numpy as np
 import pytest
-from scipy.integrate import dblquad, quad
+from scipy.integrate import dblquad
 from scipy.special import gammaln
 
-from crmgraph.errors import DomainError, InconsistentStateError, SchemaError
-from crmgraph.graphs import BipartiteGraph, UndirectedGraph
+from crmgraph.errors import DomainError, InconsistentStateError
+from crmgraph.graphs import UndirectedGraph
 from crmgraph.inference import (
     ChainTrace,
     McmcConfig,
     McmcState,
-    bipartite_log_marginal,
     compute_m,
     grad_log_posterior,
     hmc_update,
     hyper_update,
     latent_update,
-    load_state,
     log_posterior,
-    run_bipartite_gibbs,
     run_chain,
     run_chains,
-    save_state,
 )
-from crmgraph.levy import kappa, laplace_exponent
 from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import SimConfig, sample_undirected_ggp
 from crmgraph.totalmass import sample_truncated_poisson
@@ -252,37 +247,6 @@ def test_omega_snapshots():
     assert trace.omega.shape[0] == 15  # 30 kept samples, stride 2
 
 
-def test_checkpoint_round_trip(tmp_path):
-    state, graph = two_node_state(w=(0.31, 1.7), w_star=0.123456789, nbar=(3,))
-    state.alpha, state.sigma, state.tau = 17.25, -0.7321, 2.5e-3
-    path = tmp_path / "state.json"
-    save_state(state, path)
-    back = load_state(path, graph)
-    np.testing.assert_array_equal(back.omega, state.omega)
-    np.testing.assert_array_equal(back.nbar, state.nbar)
-    assert back.w_star == state.w_star
-    assert (back.alpha, back.sigma, back.tau) == (state.alpha, state.sigma, state.tau)
-
-
-def test_checkpoint_rejects_unknown_schema(tmp_path):
-    import json
-
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps({"schema_version": 99}))
-    with pytest.raises(SchemaError):
-        load_state(path)
-
-
-def test_checkpoint_rejects_state_of_another_graph(tmp_path):
-    state, graph = two_node_state()
-    path = tmp_path / "state.json"
-    save_state(state, path)
-    with pytest.raises(SchemaError):
-        load_state(path, UndirectedGraph(3, [0, 1], [1, 2]))  # one node too many
-    with pytest.raises(SchemaError):
-        load_state(path, UndirectedGraph(2, [0, 0], [1, 0]))  # one edge too many
-
-
 def test_g_star_density_never_evaluated():
     # the only uses of the total-mass law anywhere are exact samplers
     import crmgraph.inference as inf
@@ -292,51 +256,3 @@ def test_g_star_density_never_evaluated():
     src = inspect.getsource(inf)
     assert "pdf" not in src and "density_total_mass" not in src
     assert not any("pdf" in name for name in dir(tm))
-
-
-# ---------------------------------------------------------------------------
-# bipartite
-# ---------------------------------------------------------------------------
-
-def test_bipartite_marginal_one_node_quadrature():
-    # N = 1, m = 1: marginal = e^(-alpha psi(T')) alpha kappa(1, T')
-    alpha, sigma, tau, t_other = 2.0, 0.3, 1.0, 1.5
-    p = GgpParams(alpha, sigma, tau)
-    lm = bipartite_log_marginal(alpha, sigma, tau, np.array([1]), t_other)
-    from crmgraph.levy import levy_density
-
-    integral, _ = quad(
-        lambda w: w * np.exp(-w * t_other) * levy_density(p, w), 0, np.inf, limit=300
-    )
-    expected = -alpha * laplace_exponent(p, t_other) + np.log(alpha * integral)
-    assert lm == pytest.approx(expected, rel=1e-10)
-    assert np.exp(lm) == pytest.approx(
-        np.exp(-alpha * laplace_exponent(p, t_other)) * alpha * kappa(p, 1, t_other),
-        rel=1e-10,
-    )
-
-
-def test_bipartite_weight_conditional_mean():
-    # gamma(m - sigma, rate tau + T'): m = 2, sigma = 0.5, rate 3 -> mean 0.5
-    rng = rng_stream(105, 0)
-    draws = rng.gamma(2.0 - 0.5, 1.0 / 3.0, size=100000)
-    se = draws.std(ddof=1) / np.sqrt(len(draws))
-    assert abs(draws.mean() - 0.5) <= 4.0 * se
-
-
-def test_bipartite_recovery_ci_covers_sigma():
-    from crmgraph.simulate import sample_bipartite
-    from crmgraph.diagnostics import credible_interval
-
-    rng = rng_stream(11, 0)
-    g = sample_bipartite(GgpParams(40, 0.3, 1.0), GgpParams(40, 0.1, 1.0), 1e-6, rng)
-    cfg = McmcConfig(n_iter=3000, seed=4, rw_sd=0.05)
-    tr = run_bipartite_gibbs(g, cfg)
-    lo, hi = credible_interval(tr["sigma"], 0.95)
-    assert lo <= 0.3 <= hi
-
-
-def test_bipartite_requires_edges():
-    g = BipartiteGraph(2, 2, [], [])
-    with pytest.raises(DomainError):
-        run_bipartite_gibbs(g, McmcConfig(n_iter=10))

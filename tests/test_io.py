@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from crmgraph.errors import EmptyGraphError, ParseError, SchemaError
-from crmgraph.graphs import DirectedMultigraph, UndirectedGraph
+from crmgraph.graphs import UndirectedGraph
 from crmgraph.graphio import (
-    EdgeListSource,
-    read_bipartite_edge_list,
     read_edge_list,
     read_trace_csv,
     write_edge_list,
@@ -59,16 +57,6 @@ def test_read_edge_list_deterministic(tmp_path):
     np.testing.assert_array_equal(a.graph.edge_j, b.graph.edge_j)
 
 
-def test_read_edge_list_directed_keeps_multiplicity(tmp_path):
-    path = write(tmp_path, "1 2\n2 1\n1 2\n")
-    res = read_edge_list(EdgeListSource(path, directed=True))
-    d = res.graph
-    assert isinstance(d, DirectedMultigraph)
-    assert d.total_edges == 3
-    m = d.count_matrix()
-    assert m[0, 1] == 2 and m[1, 0] == 1
-
-
 def test_edge_list_round_trip(tmp_path):
     z = UndirectedGraph(4, [0, 1, 2], [1, 2, 2])
     path = str(tmp_path / "out.txt")
@@ -77,33 +65,6 @@ def test_edge_list_round_trip(tmp_path):
     assert back.n_edges == z.n_edges
     np.testing.assert_array_equal(back.edge_i, z.edge_i)
     np.testing.assert_array_equal(back.edge_j, z.edge_j)
-
-
-def test_directed_edge_list_round_trip(tmp_path):
-    d = DirectedMultigraph(3, [0, 2, 1, 0], [1, 0, 1, 0], counts=[3, 1, 2, 1])
-    path = str(tmp_path / "directed.txt")
-    write_edge_list(d, path)
-    # counts > 1 are written as repeated lines, and ids 0, 1, 2 first
-    # appear in that order, so relabelling by first appearance is the identity
-    assert open(path).read().splitlines()[:4] == ["0 0", "0 1", "0 1", "0 1"]
-    back = read_edge_list(EdgeListSource(path, directed=True)).graph
-    np.testing.assert_array_equal(back.src, d.src)
-    np.testing.assert_array_equal(back.dst, d.dst)
-    np.testing.assert_array_equal(back.counts, d.counts)
-
-
-def test_read_bipartite_edge_list(tmp_path):
-    path = write(tmp_path, "1 100\n2 100\n1 200\n1 100\n")
-    res = read_bipartite_edge_list(path)
-    g = res.graph
-    assert g.n_left == 2 and g.n_right == 2
-    assert g.n_edges == 3
-
-
-def test_bipartite_ingest_counts_lines_and_duplicates(tmp_path):
-    res = read_bipartite_edge_list(write(tmp_path, "1 100\n2 100\n1 200\n1 100\n"))
-    assert res.n_lines == 4
-    assert res.n_duplicates == 1
 
 
 def random_traces(seed=0, n=50, chains=2):

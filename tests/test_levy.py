@@ -8,7 +8,6 @@ from crmgraph.errors import DomainError, NotInvertibleError
 from crmgraph.levy import (
     expected_truncation_mass,
     inv_tail_intensity,
-    kappa,
     laplace_exponent,
     levy_density,
     log_levy_density,
@@ -141,23 +140,6 @@ def test_laplace_exponent_closed_forms():
     assert laplace_exponent(GgpParams(1, 0.0, 2.0), 4.0) == pytest.approx(np.log(3.0))
     # sigma = 0.5, tau = 0: psi(t) = 2 sqrt(t)
     assert laplace_exponent(GgpParams(1, 0.5, 0.0), 9.0) == pytest.approx(6.0)
-
-
-@pytest.mark.parametrize("params", [GgpParams(1, -0.5, 1), GgpParams(1, 0.5, 1),
-                                    GgpParams(1, 0.5, 0.0), GgpParams(1, 0.0, 2.0)])
-@pytest.mark.parametrize("m,z", [(1, 0.5), (2, 1.0), (5, 3.0)])
-def test_kappa_matches_quadrature(params, m, z):
-    expected, _ = quad(
-        lambda w: w**m * np.exp(-z * w) * levy_density(params, w), 0.0, np.inf, limit=300
-    )
-    assert kappa(params, m, z) == pytest.approx(expected, rel=1e-8)
-
-
-def test_kappa_rejects_bad_arguments():
-    with pytest.raises(DomainError):
-        kappa(GgpParams(1, 0.5, 1), 0, 1.0)
-    with pytest.raises(DomainError):
-        kappa(GgpParams(1, 0.5, 0.0), 1, 0.0)
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)

@@ -54,12 +54,6 @@ def test_region_predicate_matches_constructor(alpha, sigma, tau):
             GgpParams(alpha, sigma, tau)
 
 
-def test_finite_activity_flag():
-    assert GgpParams(1, -0.5, 1).finite_activity
-    assert not GgpParams(1, 0.0, 1).finite_activity
-    assert not GgpParams(1, 0.5, 1).finite_activity
-
-
 def test_with_tilt_shifts_tau():
     p = GgpParams(2.0, 0.5, 0.0).with_tilt(3.0)
     assert p.tau == 3.0 and p.sigma == 0.5 and p.alpha == 2.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.stats import expon, ks_2samp, kstest
+from scipy.stats import expon, gamma, ks_2samp, kstest
 
 from crmgraph import simulate
 from crmgraph.errors import DomainError
@@ -18,11 +18,7 @@ from crmgraph.simulate import (
     SimConfig,
     _crm_weights,
     gamma_weight_quantile,
-    sample_bipartite,
-    sample_compound_poisson_graph,
     sample_crm_truncated,
-    sample_directed_conditional,
-    sample_er_equivalent,
     sample_gamma_urn,
     sample_graph,
     sample_kallenberg,
@@ -156,34 +152,20 @@ def test_directed_conditional_moments():
     w = np.array([0.5, 0.3])
     sample = CrmSample(w)
     rng = rng_stream(5, 0)
-    totals, n01 = [], []
+    totals, pair_counts = [], []
     for _ in range(6000):
-        d = sample_directed_conditional(sample, rng)
+        d, atom_ids = simulate._directed_conditional(sample, rng)
         totals.append(d.total_edges)
-        # conditional counts are Poisson(w_i w_j) per ordered pair
-        m = d.count_matrix() if d.n_nodes else np.zeros((1, 1), dtype=int)
-        n01.append(m[0, 1] if d.n_nodes >= 2 else 0)
+        # conditional counts are Poisson(w_i w_j) per ordered pair of atoms;
+        # node ids follow first appearance, so key the counts on atom ids
+        m = np.zeros((2, 2), dtype=np.int64)
+        m[atom_ids[d.src], atom_ids[d.dst]] = d.counts
+        pair_counts.append(m)
     tot = w.sum() ** 2
     assert abs(np.mean(totals) - tot) <= 4.0 * np.std(totals, ddof=1) / np.sqrt(len(totals))
-
-
-def test_directed_conditional_ordered_pair_rate():
-    # relabeling by first appearance breaks per-pair bookkeeping, so test via
-    # the exchangeable statistic: mean self-edge total equals sum w_i^2
-    w = np.array([0.6, 0.6])
-    sample = CrmSample(w)
-    rng = rng_stream(6, 0)
-    loops = []
-    for _ in range(6000):
-        d = sample_directed_conditional(sample, rng)
-        if d.n_nodes:
-            m = d.count_matrix()
-            loops.append(np.trace(m))
-        else:
-            loops.append(0)
-    expected = np.sum(w**2)
-    se = np.std(loops, ddof=1) / np.sqrt(len(loops))
-    assert abs(np.mean(loops) - expected) <= 4.0 * se
+    pair_counts = np.asarray(pair_counts)
+    se = pair_counts.std(axis=0, ddof=1) / np.sqrt(len(pair_counts))
+    assert np.all(np.abs(pair_counts.mean(axis=0) - np.outer(w, w)) <= 4.0 * se)
 
 
 def test_undirected_sample_ground_truth_alignment():
@@ -222,33 +204,14 @@ def test_gamma_urn_validation():
         sample_gamma_urn(0.0, 1.0, rng_stream(0, 0))
 
 
-def test_er_equivalent_density():
-    rng = rng_stream(10, 0)
-    w0 = 0.2
-    p_edge = -np.expm1(-2.0 * w0 * w0)
-    dens = []
-    for _ in range(300):
-        z = sample_er_equivalent(40.0, w0, rng, include_self_loops=False)
-        if z.n_nodes >= 2:
-            dens.append(z.n_edges / (z.n_nodes * (z.n_nodes - 1) / 2))
-    se = np.std(dens, ddof=1) / np.sqrt(len(dens))
-    assert abs(np.mean(dens) - p_edge) <= 4.0 * se
-
-
-def test_er_equivalent_keeps_isolated_nodes():
-    rng = rng_stream(11, 0)
-    counts = [sample_er_equivalent(20.0, 0.01, rng).n_nodes for _ in range(3000)]
-    se = np.sqrt(20.0 / len(counts))
-    assert abs(np.mean(counts) - 20.0) <= 4.0 * se
-
-
 def test_compound_poisson_graph_matches_gamma_quantile():
-    rng = rng_stream(12, 0)
-    hinv = gamma_weight_quantile(-0.5, 1.0)
-    z = sample_compound_poisson_graph(30.0, hinv, rng)
-    assert isinstance(z, UndirectedGraph)
+    u = np.array([0.01, 0.3, 0.5, 0.9, 0.999])
+    np.testing.assert_allclose(gamma_weight_quantile(-0.5, 2.0)(u),
+                               gamma.ppf(u, 0.5, scale=0.5), rtol=1e-10)
     with pytest.raises(DomainError):
         gamma_weight_quantile(0.5, 1.0)
+    with pytest.raises(DomainError):
+        sample_graph(SimConfig(params=GgpParams(20, 0.5, 1.0), path="compound-poisson"))
 
 
 def test_kallenberg_requires_infinite_activity():
@@ -259,19 +222,6 @@ def test_kallenberg_requires_infinite_activity():
 def test_kallenberg_no_isolated_nodes():
     z = sample_kallenberg(GgpParams(20, 0.5, 1.0), 1e-3, rng_stream(13, 0))
     assert np.all(z.degree >= 1)
-
-
-def test_bipartite_edge_count_mean():
-    rng = rng_stream(14, 0)
-    pl, pr = GgpParams(5.0, 0.5, 1.0), GgpParams(4.0, 0.0, 1.0)
-    # E[D*] = E[W] E[W'] = alpha tau^(sigma-1) * alpha'/tau'
-    totals = []
-    for _ in range(800):
-        g = sample_bipartite(pl, pr, 1e-4, rng)
-        totals.append(int(g.counts.sum()) if g.counts is not None and g.n_edges else 0)
-    expected = (pl.alpha * pl.tau ** (pl.sigma - 1.0)) * (pr.alpha / pr.tau)
-    se = np.std(totals, ddof=1) / np.sqrt(len(totals))
-    assert abs(np.mean(totals) - expected) <= 4.0 * se
 
 
 def test_sample_graph_dispatch():

@@ -183,7 +183,7 @@ def test_tilted_total_mass_finite_over_the_region(log_alpha, sigma, log_tau, log
 
 def test_truncated_poisson_mean_at_unit_rate():
     rng = rng_stream(9, 0)
-    x = sample_truncated_poisson(1.0, rng, size=200000)
+    x = sample_truncated_poisson(np.ones(200000), rng)
     # E = lambda / (1 - e^-lambda) at lambda = 1
     expected = 1.5819767068693265
     se = x.std(ddof=1) / np.sqrt(len(x))
