@@ -41,6 +41,13 @@ def test_undirected_restriction(three_node_multigraph):
     assert pairs == {(0, 1), (0, 2), (1, 1)}
 
 
+def test_degree_histogram(three_node_multigraph):
+    z = to_undirected(three_node_multigraph)
+    # self-loop contributes 1 to the undirected degree
+    np.testing.assert_array_equal(np.bincount(z.degree), [0, 1, 2])
+    assert np.bincount(z.degree).sum() == z.n_nodes
+
+
 def test_count_matrix(three_node_multigraph):
     m = three_node_multigraph.count_matrix()
     assert m[1, 1] == 4 and m[0, 1] == 2 and m[0, 2] == 1 and m[2, 0] == 3
@@ -62,6 +69,9 @@ def test_undirected_graph_sorts_and_orients_edges():
     lambda: DirectedMultigraph(2, [0], [-1]),
     lambda: UndirectedGraph(3, [0, 1], [1, 3]),
     lambda: UndirectedGraph(3, [-1], [0]),
+    lambda: DirectedMultigraph(2, [0], [2]),
+    lambda: DirectedMultigraph(2, [-1], [0]),
+    lambda: UndirectedGraph(3, [3], [0]),
 ])
 def test_graph_types_reject_out_of_range_ids(build):
     with pytest.raises(DomainError):
@@ -81,6 +91,14 @@ def test_pair_counts_merge_across_repeats():
     d = DirectedMultigraph(3, [2, 0, 2, 0], [1, 1, 1, 0], counts=[3, 1, 4, 2])
     assert list(zip(d.src.tolist(), d.dst.tolist(), d.counts.tolist())) == [
         (0, 0, 2), (0, 1, 1), (2, 1, 7)]
+
+
+def test_undirected_has_edge():
+    z = UndirectedGraph(3, [0, 1], [1, 1])
+    edges = set(zip(z.edge_i.tolist(), z.edge_j.tolist()))
+    # a reversed pair is stored oriented i <= j; a self-loop is kept
+    assert (0, 1) in edges and (1, 1) in edges
+    assert (0, 2) not in edges and (2, 0) not in edges
 
 
 def _brute_force_undirected(count_matrix):
@@ -127,6 +145,9 @@ def test_degree_fractions(three_node_multigraph):
         multigraph_degree_fractions(three_node_multigraph, 0)
 
 
-def test_crm_sample_rejects_negative_remainder_mass():
+def test_crm_sample_total_mass_and_validation():
+    s = CrmSample([1.0, 2.5], remainder_mass=0.1)
+    assert s.weights.dtype == float
+    assert s.weights.sum() == pytest.approx(3.5) and s.remainder_mass == 0.1
     with pytest.raises(DomainError):
         CrmSample(np.array([1.0]), remainder_mass=-0.5)

@@ -152,17 +152,26 @@ def test_directed_conditional_moments():
     w = np.array([0.5, 0.3])
     sample = CrmSample(w)
     rng = rng_stream(5, 0)
-    totals, pair_counts = [], []
+    totals = []
+    for _ in range(6000):
+        d, _ = simulate._directed_conditional(sample, rng)
+        totals.append(d.total_edges)
+    tot = w.sum() ** 2
+    assert abs(np.mean(totals) - tot) <= 4.0 * np.std(totals, ddof=1) / np.sqrt(len(totals))
+
+
+def test_directed_conditional_ordered_pair_rate():
+    w = np.array([0.5, 0.3])
+    sample = CrmSample(w)
+    rng = rng_stream(6, 0)
+    pair_counts = []
     for _ in range(6000):
         d, atom_ids = simulate._directed_conditional(sample, rng)
-        totals.append(d.total_edges)
         # conditional counts are Poisson(w_i w_j) per ordered pair of atoms;
         # node ids follow first appearance, so key the counts on atom ids
         m = np.zeros((2, 2), dtype=np.int64)
         m[atom_ids[d.src], atom_ids[d.dst]] = d.counts
         pair_counts.append(m)
-    tot = w.sum() ** 2
-    assert abs(np.mean(totals) - tot) <= 4.0 * np.std(totals, ddof=1) / np.sqrt(len(totals))
     pair_counts = np.asarray(pair_counts)
     se = pair_counts.std(axis=0, ddof=1) / np.sqrt(len(pair_counts))
     assert np.all(np.abs(pair_counts.mean(axis=0) - np.outer(w, w)) <= 4.0 * se)
