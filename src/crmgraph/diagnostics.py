@@ -212,8 +212,8 @@ def scaling_experiment(sigma, tau, alpha_grid, seeds, eps=1e-6):
     """
     alpha_grid = list(alpha_grid)
     seeds = list(seeds)
-    if len(alpha_grid) < 3 or len(seeds) < 3:
-        raise DomainError("need at least 3 alpha values and 3 seeds")
+    if len(set(alpha_grid)) < 3 or len(seeds) < 3:
+        raise DomainError("need at least 3 distinct alpha values and 3 seeds")
     rows = []
     med_nodes, med_edges = [], []
     for a in alpha_grid:

@@ -6,7 +6,6 @@ or replicate spread), never tuned to a particular seed's output.
 """
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from scipy.stats import ks_2samp
 
 from crmgraph.diagnostics import (
     credible_interval,
-    fit_loglog_slope,
     powerlaw_check,
     psrf,
     scaling_experiment,

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from crmgraph.cli import cli_dispatch
@@ -36,7 +35,12 @@ def test_invalid_params_exit_1(tmp_path, capsys):
     ["ppc", "{empty_trace}"],
     # alpha tau^sigma / -sigma jumps, 0.01 to 0.04 on average: the graphs are empty
     ["scaling", "--sigma", "-1", "--tau", "1", "--alpha-grid", "0.01", "0.02", "0.04"],
-], ids=["n-chains-0", "negative-adapt-iters", "ppc-of-empty-trace", "scaling-empty-graphs"])
+    ["fit", "{graph}", "--n-iter", "20", "--rw-sd", "nan"],
+    ["fit", "{graph}", "--n-iter", "20", "--rw-sd", "-0.1"],
+    # one distinct alpha: the log-log slope is undefined
+    ["scaling", "--sigma", "0.5", "--tau", "1", "--alpha-grid", "2", "2", "2"],
+], ids=["n-chains-0", "negative-adapt-iters", "ppc-of-empty-trace", "scaling-empty-graphs",
+        "rw-sd-nan", "rw-sd-negative", "scaling-one-distinct-alpha"])
 def test_bad_run_settings_exit_1(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     graph = tmp_path / "g.txt"

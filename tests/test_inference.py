@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -6,7 +8,6 @@ from scipy.special import gammaln
 from crmgraph.errors import DomainError, InconsistentStateError
 from crmgraph.graphs import UndirectedGraph
 from crmgraph.inference import (
-    ChainTrace,
     McmcConfig,
     McmcState,
     compute_m,
@@ -20,7 +21,6 @@ from crmgraph.inference import (
 )
 from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import SimConfig, sample_undirected_ggp
-from crmgraph.totalmass import sample_truncated_poisson
 
 
 def two_node_state(sigma=0.5, tau=1.0, w=(1.0, 1.0), w_star=0.0, nbar=(1,)):
@@ -207,6 +207,53 @@ def test_run_chains_distinct_streams():
     assert len(traces) == 3
     assert traces[0].chain_id == 0 and traces[2].chain_id == 2
     assert not np.allclose(traces[0]["sigma"], traces[1]["sigma"])
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # run_chains forks a pool only when at least 2 CPUs are usable
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_run_chains_pool_matches_serial_loop(two_cpus):
+    cfg = SimConfig(params=GgpParams(20, 0.5, 1.0), truncation_eps=1e-3, seed=6)
+    z, _ = sample_undirected_ggp(cfg)
+    mc = McmcConfig(n_iter=60, n_chains=3, seed=9, omega_record_stride=4)
+    pooled = run_chains(z, mc)
+    serial = [run_chain(z, mc, c) for c in range(3)]
+    assert len(pooled) == len(serial)
+    for a, b in zip(pooled, serial):
+        assert a.chain_id == b.chain_id
+        assert a.records.keys() == b.records.keys()
+        for name in a.records:
+            np.testing.assert_array_equal(a[name], b[name])
+        assert a.omega is not None
+        np.testing.assert_array_equal(a.omega, b.omega)
+        assert a.accept_rates == b.accept_rates
+        assert a.meta == b.meta
+
+
+def test_run_chains_worker_error_keeps_type(two_cpus):
+    with pytest.raises(DomainError):
+        run_chains(UndirectedGraph(3, [], []), McmcConfig(n_iter=10, n_chains=2))
+
+
+def test_run_chains_runs_replaced_run_chain_in_workers(two_cpus, monkeypatch):
+    # a closure cannot be pickled; the workers must find it on the module
+    import crmgraph.inference as inf
+
+    original = inf.run_chain
+
+    def wrapped(*args, **kwargs):
+        trace = original(*args, **kwargs)
+        trace.meta["pid"] = os.getpid()
+        return trace
+
+    monkeypatch.setattr(inf, "run_chain", wrapped)
+    graph = UndirectedGraph(3, [0, 1], [1, 2])
+    traces = run_chains(graph, McmcConfig(n_iter=20, n_chains=2, seed=1))
+    assert [t.chain_id for t in traces] == [0, 1]
+    assert all(t.meta["pid"] != os.getpid() for t in traces)
 
 
 def test_chain_deterministic_in_seed():

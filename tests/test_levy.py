@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln
 
 from crmgraph.errors import DomainError, NotInvertibleError
 from crmgraph.levy import (
