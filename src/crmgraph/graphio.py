@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGraphError, ParseError, SchemaError
-from .graphs import UndirectedGraph, _first_appearance_relabel
+from .graphs import UndirectedGraph, compact_graph
 from .inference import TRACE_FIELDS, ChainTrace
 
 TRACE_HEADER = ["iteration", "chain", *TRACE_FIELDS]
@@ -18,7 +18,7 @@ COMMENT_PREFIXES = ("#", "%")
 @dataclass
 class IngestResult:
     graph: UndirectedGraph
-    id_map: dict                    # external id -> contiguous id
+    id_map: dict                    # external id -> contiguous id, in id order
     n_lines: int                    # edge lines read
     n_duplicates: int               # edge lines merged into an earlier pair
 
@@ -46,16 +46,22 @@ def read_edge_list(path):
 
     Lines starting with '#' or '%' and blank lines are skipped; duplicate
     edges, reversed duplicates included, collapse; self-loops are kept.
-    Nodes are numbered by first appearance.
+    Nodes are numbered in increasing order of their external id, so a
+    graph without isolated nodes written by write_edge_list reads back with
+    the same node ids.
     """
     pairs = _parse_lines(path)
     if not pairs:
         raise EmptyGraphError(f"no edges found in {path}")
 
-    labels, ids = _first_appearance_relabel(np.asarray(pairs).ravel())
-    edges = labels.reshape(-1, 2)
+    try:
+        pairs = np.asarray(pairs, dtype=np.int64)
+    except OverflowError:
+        # ids beyond int64 stay exact Python ints; numpy's own choice would
+        # be float64 for ids in [2**63, 2**64), which merges neighbours
+        pairs = np.asarray(pairs, dtype=object)
+    graph, ids = compact_graph(pairs[:, 0], pairs[:, 1])
     id_map = dict(zip(ids.tolist(), range(len(ids))))
-    graph = UndirectedGraph(len(ids), edges[:, 0], edges[:, 1])
     return IngestResult(graph=graph, id_map=id_map, n_lines=len(pairs),
                         n_duplicates=len(pairs) - graph.n_edges)
 

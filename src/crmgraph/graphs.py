@@ -14,41 +14,36 @@ import numpy as np
 from .errors import DomainError
 
 
-def _merge_pairs(n, a, b, counts=None):
+def _merge_pairs(n, a, b):
     """Pairs (a, b) over [0, n) x [0, n), each stored once, sorted by (a, b).
 
-    Repeated pairs add their counts, or count one per listed pair when
-    counts is None; one np.unique of the key a * n + b merges and sorts.
-    Returns the stored a, b and counts.
+    One np.unique of the key a * n + b merges and sorts. Returns the stored
+    a, b and how many times each pair was listed.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     for ids in (a, b):
         if len(ids) and (ids.min() < 0 or ids.max() >= n):
             raise DomainError(f"node id out of range [0, {n})")
-    if counts is None:
-        keys, merged = np.unique(a * n + b, return_counts=True)
-    else:
-        counts = np.asarray(counts, dtype=np.int64)
-        if np.any(counts < 1):
-            raise DomainError("pair counts must be >= 1")
-        keys, inverse = np.unique(a * n + b, return_inverse=True)
-        merged = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(merged, inverse, counts)
-    return keys // n, keys % n, merged
+    keys, counts = np.unique(a * n + b, return_counts=True)
+    return keys // n, keys % n, counts
 
 
 @dataclass(frozen=True, eq=False)
 class DirectedMultigraph:
-    """Sparse directed edge counts n_ij >= 1 over 0-based contiguous ids."""
+    """Sparse directed edge counts n_ij >= 1 over 0-based contiguous ids.
+
+    One (src, dst) pair is listed per edge; counts holds each stored
+    pair's multiplicity.
+    """
 
     n_nodes: int
     src: np.ndarray
     dst: np.ndarray
-    counts: np.ndarray = None
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pairs = _merge_pairs(self.n_nodes, self.src, self.dst, self.counts)
+        pairs = _merge_pairs(self.n_nodes, self.src, self.dst)
         for name, value in zip(("src", "dst", "counts"), pairs):
             object.__setattr__(self, name, value)
 
@@ -111,14 +106,13 @@ class CrmSample:
             raise DomainError("remainder mass must be >= 0")
 
 
-def _first_appearance_relabel(seq):
-    """Map values of seq to contiguous ids in order of first appearance."""
-    uniq, first = np.unique(seq, return_index=True)
-    order = np.argsort(first)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    pos = np.searchsorted(uniq, seq)
-    return rank[pos], uniq[order]
+def compact_graph(i, j):
+    """Graph on the ids that pairs (i, j) touch, plus each node's source id.
+
+    Nodes are numbered in increasing order of their source id.
+    """
+    ids, labels = np.unique(np.concatenate([i, j]), return_inverse=True)
+    return UndirectedGraph(len(ids), labels[: len(i)], labels[len(i):]), ids
 
 
 def to_undirected(d):

@@ -9,7 +9,8 @@ closed-form envelopes. The gamma-process urn, the Kallenberg construction
 compound Poisson jumps of a sigma < 0 GGP are independent, distributionally
 equivalent alternatives used for cross-validation. Every path finishes a
 draw by the same rules: a draw with no atoms is an empty graph, isolated
-nodes drop, and self-loops drop when include_self_loops is false.
+nodes drop, self-loops drop when include_self_loops is false, and nodes are
+numbered in the order of the atoms they come from.
 """
 
 from dataclasses import dataclass
@@ -18,13 +19,7 @@ import numpy as np
 from scipy.special import gammaincinv, gammaln
 
 from .errors import DomainError
-from .graphs import (
-    CrmSample,
-    DirectedMultigraph,
-    UndirectedGraph,
-    _first_appearance_relabel,
-    to_undirected,
-)
+from .graphs import CrmSample, DirectedMultigraph, compact_graph, to_undirected
 from .levy import (
     expected_truncation_mass,
     inv_tail_intensity,
@@ -143,7 +138,7 @@ def _directed_conditional(sample, rng):
     total = w.sum()
     n_edges = rng.poisson(total * total)
     endpoints = _endpoints(w, 2 * n_edges, rng)
-    labels, atom_ids = _first_appearance_relabel(endpoints)
+    atom_ids, labels = np.unique(endpoints, return_inverse=True)
     return DirectedMultigraph(len(atom_ids), labels[0::2], labels[1::2]), atom_ids
 
 
@@ -153,15 +148,9 @@ def sample_directed_conditional(sample, rng):
     return d
 
 
-def _drop_isolated(i, j):
-    """Graph on the nodes that edges (i, j) touch, and each new node's old id."""
-    labels, old_ids = _first_appearance_relabel(np.concatenate([i, j]))
-    return UndirectedGraph(len(old_ids), labels[: len(i)], labels[len(i):]), old_ids
-
-
 def _strip_self_loops(z):
     keep = z.edge_i != z.edge_j
-    return _drop_isolated(z.edge_i[keep], z.edge_j[keep])
+    return compact_graph(z.edge_i[keep], z.edge_j[keep])
 
 
 def sample_undirected_ggp(config, rng=None):
@@ -248,7 +237,7 @@ def sample_kallenberg(params, eps, rng):
     marks = rng.uniform(0.0, bound, size=k)
     w = inv_tail_intensity(params, marks / params.alpha)
     ei, ej = _bernoulli_pair_edges(w, rng)
-    return _drop_isolated(ei, ej)[0]
+    return compact_graph(ei, ej)[0]
 
 
 def gamma_weight_quantile(sigma, tau):
@@ -269,10 +258,7 @@ def _compound_poisson_path(params, eps, rng):
     hinv = gamma_weight_quantile(params.sigma, params.tau)
     n = rng.poisson(params.alpha * total_tail_mass(params))
     ei, ej = _bernoulli_pair_edges(hinv(rng.uniform(size=n)), rng)
-    # nodes are numbered from the merged, sorted edges: numbering from the raw
-    # pairs gives the same graph, but other node ids for a given seed
-    z = UndirectedGraph(n, ei, ej)
-    return _drop_isolated(z.edge_i, z.edge_j)[0]
+    return compact_graph(ei, ej)[0]
 
 
 # the cross-validation paths: each keeps its self-loops and has no isolated nodes

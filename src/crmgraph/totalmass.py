@@ -21,18 +21,14 @@ _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 def _log_stable_std(rng, alpha):
     """Log of one draw of the positive stable law with E[e^(-tS)] = exp(-t^alpha).
 
-    Kanter's representation: S = (a(U)/E)^((1-alpha)/alpha) with U uniform
-    on (0, pi) and E unit exponential. As alpha -> 0 the draw itself leaves
-    a double's range, but its log stays finite.
+    Kanter's representation: S = (A(U)/E)^((1-alpha)/alpha) with U uniform
+    on (0, pi), E unit exponential and A(U)^(1-alpha) = _zolotarev_a(U).
+    As alpha -> 0 the draw itself leaves a double's range, but its log
+    stays finite.
     """
     u = rng.uniform(0.0, math.pi)
     e = rng.exponential()
-    log_a = (
-        (alpha / (1.0 - alpha)) * math.log(math.sin(alpha * u))
-        + math.log(math.sin((1.0 - alpha) * u))
-        - (1.0 / (1.0 - alpha)) * math.log(math.sin(u))
-    )
-    return ((1.0 - alpha) / alpha) * (log_a - math.log(e))
+    return (math.log(_zolotarev_a(u, alpha)) - (1.0 - alpha) * math.log(e)) / alpha
 
 
 def _sinc(x):

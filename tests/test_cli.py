@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,10 @@ from crmgraph.cli import cli_dispatch
 
 def run(argv):
     return cli_dispatch(argv)
+
+
+def first_line(path):
+    return Path(path).read_text().splitlines()[0]
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -58,9 +63,9 @@ def test_sample_writes_graph_and_sidecar(tmp_path, capsys):
     code = run(["sample", "--alpha", "30", "--sigma", "0.5", "--tau", "1",
                 "--eps", "1e-4", "--seed", "1", "--out", out])
     assert code == 0
-    lines = [l for l in open(out) if not l.startswith("#")]
+    lines = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
     assert len(lines) > 0
-    sidecar = json.load(open(out + ".json"))
+    sidecar = json.loads(Path(out + ".json").read_text())
     assert sidecar["alpha"] == 30 and sidecar["sigma"] == 0.5
     assert sidecar["n_edges"] == len(lines)
     assert "library_version" in sidecar and "timestamp" in sidecar
@@ -71,9 +76,9 @@ def test_sample_deterministic_golden(tmp_path):
     for out in (a, b):
         assert run(["sample", "--alpha", "30", "--sigma", "0.5", "--tau", "1",
                     "--eps", "1e-4", "--seed", "7", "--out", out]) == 0
-    assert open(a).read() == open(b).read()
-    sa = json.load(open(a + ".json"))
-    sb = json.load(open(b + ".json"))
+    assert Path(a).read_text() == Path(b).read_text()
+    sa = json.loads(Path(a + ".json").read_text())
+    sb = json.loads(Path(b + ".json").read_text())
     sa.pop("timestamp")
     sb.pop("timestamp")
     assert sa == sb
@@ -92,9 +97,9 @@ def test_fit_writes_trace(small_graph, tmp_path, capsys):
     code = run(["fit", small_graph, "--n-iter", "200", "--n-chains", "2",
                 "--seed", "0", "--out", out])
     assert code == 0
-    header = open(out).readline().strip()
-    assert header == "iteration,chain,alpha,sigma,tau,w_star,log_post"
-    n_rows = sum(1 for _ in open(out)) - 1
+    lines = Path(out).read_text().splitlines()
+    assert lines[0] == "iteration,chain,alpha,sigma,tau,w_star,log_post"
+    n_rows = len(lines) - 1
     assert n_rows == 2 * 150  # burn-in of n_iter/4 discarded per chain
 
 
@@ -103,7 +108,7 @@ def test_fit_golden_reproducible(small_graph, tmp_path):
     for out in (a, b):
         assert run(["fit", small_graph, "--n-iter", "100", "--n-chains", "1",
                     "--seed", "5", "--out", out]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_test_sparsity_json(small_graph, tmp_path, capsys):
@@ -112,8 +117,8 @@ def test_test_sparsity_json(small_graph, tmp_path, capsys):
     code = run(["test-sparsity", small_graph, "--n-iter", "400",
                 "--n-chains", "2", "--seed", "0", "--out", out, "--trace-out", trace])
     assert code == 0
-    assert open(trace).readline().strip() == "iteration,chain,alpha,sigma,tau,w_star,log_post"
-    doc = json.load(open(out))
+    assert first_line(trace) == "iteration,chain,alpha,sigma,tau,w_star,log_post"
+    doc = json.loads(Path(out).read_text())
     for key in ("p_sparse", "ci_sigma", "max_psrf", "runtime"):
         assert key in doc
     assert 0.0 <= doc["p_sparse"] <= 1.0
@@ -129,13 +134,12 @@ def test_diag_and_ppc_from_trace(small_graph, tmp_path, capsys):
     assert run(["diag", trace, "--out", psrf_out]) == 0
     captured = capsys.readouterr().out
     assert "max_psrf=" in captured
-    assert open(psrf_out).readline().strip() == "param,psrf"
+    assert first_line(psrf_out) == "param,psrf"
 
     ppc_out = str(tmp_path / "ppc.csv")
     assert run(["ppc", trace, "--graph", small_graph, "--n-draws", "20",
                 "--eps", "1e-3", "--out", ppc_out]) == 0
-    header = open(ppc_out).readline().strip()
-    assert header == "degree_bin,lo,median,hi,observed"
+    assert first_line(ppc_out) == "degree_bin,lo,median,hi,observed"
 
 
 def test_scaling_cli(tmp_path, capsys):
@@ -145,6 +149,6 @@ def test_scaling_cli(tmp_path, capsys):
                 "--eps", "1e-3", "--out", out])
     assert code == 0
     assert "slope=" in capsys.readouterr().out
-    header = open(out).readline().strip()
-    assert header == "alpha,seed,n_nodes,n_edges"
-    assert sum(1 for _ in open(out)) == 10
+    lines = Path(out).read_text().splitlines()
+    assert lines[0] == "alpha,seed,n_nodes,n_edges"
+    assert len(lines) == 10

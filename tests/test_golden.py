@@ -15,8 +15,8 @@ from crmgraph.inference import McmcConfig, run_chain
 from crmgraph.params import GgpParams
 from crmgraph.simulate import SimConfig, sample_graph
 
-RUN_CHAIN_SHA256 = "269be02d4753cbc74d89da694ba2d230d00efce8b9d16b2659026e797b776f57"
-SAMPLE_GRAPH_SHA256 = "7b857fc8308ceb190c60bce741ef173a9ef275d13325d5f5c44e39da946f2581"
+RUN_CHAIN_SHA256 = "d63cddb226e3460ff3726c879c759453e098264a240f5f0c577d18f498c0522c"
+SAMPLE_GRAPH_SHA256 = "0df421284f5ebc070b0f6cafef67600026ffc86aa8181d1d0b3c39187fd4b9a4"
 
 
 def _update(h, arr, dtype):

@@ -15,11 +15,11 @@ from crmgraph.graphs import (
 @pytest.fixture
 def three_node_multigraph():
     # counts: n_22 = 4, n_12 = 2, n_13 = 1, n_31 = 3 (1-based node labels)
+    counts = [4, 2, 1, 3]
     return DirectedMultigraph(
         3,
-        src=np.array([1, 0, 0, 2]),
-        dst=np.array([1, 1, 2, 0]),
-        counts=np.array([4, 2, 1, 3]),
+        src=np.repeat([1, 0, 0, 2], counts),
+        dst=np.repeat([1, 1, 2, 0], counts),
     )
 
 
@@ -54,11 +54,6 @@ def test_count_matrix(three_node_multigraph):
     assert m.sum() == 10
 
 
-def test_multigraph_rejects_zero_counts():
-    with pytest.raises(DomainError):
-        DirectedMultigraph(2, [0], [1], [0])
-
-
 def test_undirected_graph_sorts_and_orients_edges():
     z = UndirectedGraph(4, [3, 2, 1], [1, 2, 0])
     assert list(zip(z.edge_i, z.edge_j)) == [(0, 1), (1, 3), (2, 2)]
@@ -88,7 +83,8 @@ def test_undirected_graph_collapses_repeated_and_reversed_pairs():
 def test_pair_counts_merge_across_repeats():
     d = DirectedMultigraph(2, [0, 0], [1, 1])
     np.testing.assert_array_equal(d.counts, [2])
-    d = DirectedMultigraph(3, [2, 0, 2, 0], [1, 1, 1, 0], counts=[3, 1, 4, 2])
+    counts = [3, 1, 4, 2]
+    d = DirectedMultigraph(3, np.repeat([2, 0, 2, 0], counts), np.repeat([1, 1, 1, 0], counts))
     assert list(zip(d.src.tolist(), d.dst.tolist(), d.counts.tolist())) == [
         (0, 0, 2), (0, 1, 1), (2, 1, 7)]
 
@@ -119,7 +115,8 @@ def test_undirected_restriction_matches_brute_force(n, seed):
     src, dst = np.nonzero(mat)
     if len(src) == 0:
         return
-    d = DirectedMultigraph(n, src, dst, mat[src, dst])
+    counts = mat[src, dst]
+    d = DirectedMultigraph(n, np.repeat(src, counts), np.repeat(dst, counts))
     z = to_undirected(d)
     assert set(zip(z.edge_i.tolist(), z.edge_j.tolist())) == _brute_force_undirected(mat)
 
@@ -132,7 +129,8 @@ def test_incident_degree_conservation(n, seed):
     src, dst = np.nonzero(mat)
     if len(src) == 0:
         return
-    d = DirectedMultigraph(n, src, dst, mat[src, dst])
+    counts = mat[src, dst]
+    d = DirectedMultigraph(n, np.repeat(src, counts), np.repeat(dst, counts))
     assert d.incident_degree().sum() == 2 * d.total_edges
 
 

@@ -12,6 +12,8 @@ from crmgraph.graphio import (
     write_trace_csv,
 )
 from crmgraph.inference import ChainTrace
+from crmgraph.params import GgpParams
+from crmgraph.simulate import SimConfig, sample_graph
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -65,6 +67,29 @@ def test_edge_list_round_trip(tmp_path):
     assert back.n_edges == z.n_edges
     np.testing.assert_array_equal(back.edge_i, z.edge_i)
     np.testing.assert_array_equal(back.edge_j, z.edge_j)
+
+
+def test_simulated_graph_reads_back_with_the_same_node_ids(tmp_path):
+    z = sample_graph(SimConfig(params=GgpParams(30.0, 0.5, 1.0), truncation_eps=1e-4, seed=2))
+    path = str(tmp_path / "sim.txt")
+    write_edge_list(z, path)
+    back = read_edge_list(path).graph
+    assert back.n_nodes == z.n_nodes
+    np.testing.assert_array_equal(back.edge_i, z.edge_i)
+    np.testing.assert_array_equal(back.edge_j, z.edge_j)
+
+
+def test_read_edge_list_takes_ids_beyond_int64_and_negative(tmp_path):
+    big = 2**70
+    res = read_edge_list(write(tmp_path, f"{big} 5\n5 {big}\n7 -3\n"))
+    assert res.id_map == {-3: 0, 5: 1, 7: 2, big: 3}
+    assert list(res.id_map) == sorted(res.id_map)
+    assert list(zip(res.graph.edge_i.tolist(), res.graph.edge_j.tolist())) == [(0, 2), (1, 3)]
+    assert res.n_duplicates == 1
+    # just past int64: two distinct ids stay two nodes
+    res = read_edge_list(write(tmp_path, f"{2**63} 5\n{2**63 + 1} 5\n", name="g2.txt"))
+    assert res.id_map == {5: 0, 2**63: 1, 2**63 + 1: 2}
+    assert res.graph.n_edges == 2
 
 
 def random_traces(seed=0, n=50, chains=2):

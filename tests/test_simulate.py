@@ -168,13 +168,21 @@ def test_directed_conditional_ordered_pair_rate():
     for _ in range(6000):
         d, atom_ids = simulate._directed_conditional(sample, rng)
         # conditional counts are Poisson(w_i w_j) per ordered pair of atoms;
-        # node ids follow first appearance, so key the counts on atom ids
+        # only atoms that drew an endpoint become nodes, so key the counts on atom ids
         m = np.zeros((2, 2), dtype=np.int64)
         m[atom_ids[d.src], atom_ids[d.dst]] = d.counts
         pair_counts.append(m)
     pair_counts = np.asarray(pair_counts)
     se = pair_counts.std(axis=0, ddof=1) / np.sqrt(len(pair_counts))
     assert np.all(np.abs(pair_counts.mean(axis=0) - np.outer(w, w)) <= 4.0 * se)
+
+
+def test_directed_conditional_numbers_nodes_by_atom_index():
+    sample = sample_crm_truncated(GgpParams(30, 0.5, 1.0), 1e-4, rng_stream(4, 0))
+    d, atom_ids = simulate._directed_conditional(sample, rng_stream(4, 1))
+    assert d.n_nodes == len(atom_ids) > 1
+    assert np.all(np.diff(atom_ids) > 0)
+    assert np.all(d.incident_degree() > 0)
 
 
 def test_undirected_sample_ground_truth_alignment():
