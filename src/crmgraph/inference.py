@@ -89,10 +89,17 @@ class ChainTrace:
 
 
 def compute_m(graph, nbar):
-    """Per-node exponent m_i from latent edge counts; a self count contributes 2."""
-    m = np.bincount(graph.edge_i, weights=nbar, minlength=graph.n_nodes)
-    m += np.bincount(graph.edge_j, weights=nbar, minlength=graph.n_nodes)
-    return m.astype(np.int64)
+    """Per-node exponent m_i from latent edge counts; a self count contributes 2.
+
+    Almost every count is 1, so m starts from its value at nbar = 1, which
+    the graph holds, and adds the excess of the few edges above 1.
+    """
+    up = np.flatnonzero(nbar > 1)
+    excess = nbar[up] - 1
+    m = graph.unit_m.copy()
+    np.add.at(m, graph.edge_i[up], excess)
+    np.add.at(m, graph.edge_j[up], excess)
+    return m
 
 
 def _check_state(state, graph):
@@ -102,52 +109,65 @@ def _check_state(state, graph):
         raise InconsistentStateError("latent counts must be >= 1 on edges")
 
 
-def _log_target_and_grad(omega, m, sigma, tau, w_star):
-    """Terms of the log posterior that depend on omega, Jacobian included,
-    and their gradient m_i - sigma - w_i (tau + 2 sum_j w_j + 2 w*)."""
+def _grad_and_mass(omega, m_sigma, tau, w_star):
+    """Gradient in omega of the omega terms of the log posterior,
+    (m_i - sigma) - w_i (tau + 2 sum_j w_j + 2 w*), and sum_j w_j."""
     w = np.exp(omega)
     s = w.sum()
-    value = float(np.dot(m - sigma, omega) - tau * s - (s + w_star) ** 2)
-    return value, m - sigma - w * (tau + 2.0 * s + 2.0 * w_star)
+    return m_sigma - w * (tau + 2.0 * s + 2.0 * w_star), s
 
 
-def log_posterior(state, graph):
+def _log_target_and_grad(omega, m_sigma, tau, w_star):
+    """Terms of the log posterior that depend on omega, Jacobian included,
+    and their gradient; m_sigma is m - sigma."""
+    grad, s = _grad_and_mass(omega, m_sigma, tau, w_star)
+    return float(np.dot(m_sigma, omega) - tau * s - (s + w_star) ** 2), grad
+
+
+def log_posterior(state, graph, *, check=True):
     """Joint log density up to the additive log g* constant.
 
     sum_i [m_i log w_i + log rho(w_i)] - (sum w + w*)^2 plus the Jacobian
-    sum_i omega_i of the log parameterization.
+    sum_i omega_i of the log parameterization. run_chain passes
+    check=False: it draws every latent count itself, so they are >= 1.
     """
-    _check_state(state, graph)
+    if check:
+        _check_state(state, graph)
     value, _ = _log_target_and_grad(
-        state.omega, compute_m(graph, state.nbar), state.sigma, state.tau, state.w_star)
+        state.omega, compute_m(graph, state.nbar) - state.sigma, state.tau, state.w_star)
     return value - len(state.omega) * gammaln(1.0 - state.sigma)
 
 
 def grad_log_posterior(state, graph):
     """Gradient in omega: m_i - sigma - w_i (tau + 2 sum_j w_j + 2 w*)."""
     _check_state(state, graph)
-    _, grad = _log_target_and_grad(
-        state.omega, compute_m(graph, state.nbar), state.sigma, state.tau, state.w_star)
+    grad, _ = _grad_and_mass(
+        state.omega, compute_m(graph, state.nbar) - state.sigma, state.tau, state.w_star)
     return grad
 
 
 def hmc_update(state, graph, n_steps, stepsize, rng):
-    """One Hamiltonian update of the log-weights; returns acceptance flag."""
-    target = (compute_m(graph, state.nbar), state.sigma, state.tau, state.w_star)
+    """One Hamiltonian update of the log-weights; returns acceptance flag.
+
+    The log target is evaluated only at the two ends of the trajectory. A
+    diverging trajectory overflows; its non-finite ratio rejects it, so
+    numpy's overflow and invalid-value warnings are silenced here.
+    """
+    target = (compute_m(graph, state.nbar) - state.sigma, state.tau, state.w_star)
     omega = state.omega
     p0 = rng.standard_normal(len(omega))
 
-    log_p0, grad = _log_target_and_grad(omega, *target)
-    p = p0 + 0.5 * stepsize * grad
-    q = omega
-    for _ in range(n_steps - 1):
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_p0, grad = _log_target_and_grad(omega, *target)
+        p = p0 + 0.5 * stepsize * grad
+        q = omega
+        for _ in range(n_steps - 1):
+            q = q + stepsize * p
+            p = p + stepsize * _grad_and_mass(q, *target)[0]
         q = q + stepsize * p
-        p = p + stepsize * _log_target_and_grad(q, *target)[1]
-    q = q + stepsize * p
-    log_p, grad = _log_target_and_grad(q, *target)
-    p = -(p + 0.5 * stepsize * grad)
-
-    log_r = log_p - log_p0 - 0.5 * (np.dot(p, p) - np.dot(p0, p0))
+        log_p, grad = _log_target_and_grad(q, *target)
+        p = -(p + 0.5 * stepsize * grad)
+        log_r = log_p - log_p0 - 0.5 * (np.dot(p, p) - np.dot(p0, p0))
     if not np.isfinite(log_r):
         return state, False
     if np.log(rng.uniform()) < log_r:
@@ -202,8 +222,8 @@ def latent_rates(state, graph):
     """Conditional truncated-Poisson rates: 2 w_i w_j off-diagonal, w_i^2 on."""
     w = state.weights()
     rate = 2.0 * w[graph.edge_i] * w[graph.edge_j]
-    loop = graph.edge_i == graph.edge_j
-    rate[loop] = w[graph.edge_i[loop]] ** 2
+    loops = graph.loops
+    rate[loops] = w[graph.edge_i[loops]] ** 2
     return rate
 
 
@@ -303,7 +323,7 @@ def run_chain(graph, config, chain_id=0):
         if it >= burn and (it - burn) % config.thin == 0:
             for k in PARAM_FIELDS:
                 recs[k].append(getattr(state, k))
-            recs["log_post"].append(log_posterior(state, graph))
+            recs["log_post"].append(log_posterior(state, graph, check=False))
             stride = config.omega_record_stride
             if stride and ((it - burn) // config.thin) % stride == 0:
                 omega_snaps.append(state.omega.copy())

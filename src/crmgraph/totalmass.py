@@ -188,8 +188,8 @@ def sample_truncated_poisson(rate, rng):
     """
     scalar = np.isscalar(rate)
     rate = np.atleast_1d(np.asarray(rate, dtype=float))
-    if np.any(rate <= 0) or np.any(~np.isfinite(rate)):
-        raise DomainError("truncated Poisson requires rate > 0")
+    if rate.size and not (rate.min() > 0.0 and np.isfinite(rate.max())):
+        raise DomainError("truncated Poisson requires a finite rate > 0")
     first = -np.log1p(rng.uniform(size=rate.shape) * np.expm1(-rate))
     out = 1 + rng.poisson(np.maximum(rate - first, 0.0))
     if scalar:

@@ -12,11 +12,13 @@ import hashlib
 import numpy as np
 
 from crmgraph.inference import McmcConfig, run_chain
-from crmgraph.params import GgpParams
+from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import SimConfig, sample_graph
+from crmgraph.totalmass import sample_truncated_poisson
 
 RUN_CHAIN_SHA256 = "d63cddb226e3460ff3726c879c759453e098264a240f5f0c577d18f498c0522c"
 SAMPLE_GRAPH_SHA256 = "0df421284f5ebc070b0f6cafef67600026ffc86aa8181d1d0b3c39187fd4b9a4"
+TRUNCATED_POISSON_SHA256 = "75f15ee327b90b061e27df5f9276e1cea7ecb359724fbc89e266b028119df367"
 
 
 def _update(h, arr, dtype):
@@ -59,3 +61,11 @@ def test_sample_graph_truncated_digest():
     z = sample_graph(SimConfig(params=GgpParams(60.0, 0.5, 1.0), truncation_eps=1e-5, seed=21))
     assert z.n_nodes > 100
     assert graph_sha256(z) == SAMPLE_GRAPH_SHA256
+
+
+def test_truncated_poisson_digest():
+    # the latent-count stream on its own, over rates from 1e-12 to 1e4
+    x = sample_truncated_poisson(np.geomspace(1e-12, 1e4, 1601), rng_stream(4, 0))
+    h = hashlib.sha256()
+    _update(h, x, np.int64)
+    assert h.hexdigest() == TRUNCATED_POISSON_SHA256

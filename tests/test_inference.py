@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from crmgraph.inference import (
     grad_log_posterior,
     hmc_update,
     hyper_update,
+    latent_rates,
     latent_update,
     log_posterior,
     run_chain,
@@ -110,6 +112,47 @@ def test_compute_m_self_loop_counts_twice():
     graph = UndirectedGraph(2, [0, 1], [0, 1])  # loop on 0, edge via (1,1) loop
     m = compute_m(graph, np.array([3, 2]))
     np.testing.assert_array_equal(m, [6, 4])
+
+
+def test_compute_m_matches_bincount_reference():
+    # the per-graph count at nbar = 1 plus the excess must equal two
+    # weighted bincounts over every edge, integer for integer
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        e = int(rng.integers(1, 200))
+        graph = UndirectedGraph(n, rng.integers(0, n, e), rng.integers(0, n, e))
+        nbar = rng.geometric(rng.uniform(0.3, 1.0), graph.n_edges)
+        nbar[rng.uniform(size=graph.n_edges) < 0.3] += rng.integers(0, 1000)
+        ref = np.bincount(graph.edge_i, weights=nbar, minlength=n)
+        ref += np.bincount(graph.edge_j, weights=nbar, minlength=n)
+        m = compute_m(graph, nbar)
+        assert m.dtype == np.int64
+        np.testing.assert_array_equal(m, ref.astype(np.int64))
+    assert len(graph.loops) > 0
+
+
+def test_latent_rates_match_mask_form_bitwise():
+    rng = np.random.default_rng(8)
+    graph = UndirectedGraph(30, rng.integers(0, 30, 300), rng.integers(0, 30, 300))
+    assert len(graph.loops) > 0
+    state = McmcState(rng.normal(0.0, 3.0, 30), 0.1, 1.0, 0.2, 1.0,
+                      np.ones(graph.n_edges, dtype=np.int64))
+    w = np.exp(state.omega)
+    ref = 2.0 * w[graph.edge_i] * w[graph.edge_j]
+    loop = graph.edge_i == graph.edge_j
+    ref[loop] = w[graph.edge_i[loop]] ** 2
+    assert latent_rates(state, graph).tobytes() == ref.tobytes()
+
+
+def test_diverging_hmc_rejects_without_warnings():
+    state, graph = two_node_state()
+    omega = state.omega.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, accepted = hmc_update(state, graph, 10, 50.0, rng_stream(102, 0))
+    assert accepted is False
+    np.testing.assert_array_equal(state.omega, omega)
 
 
 def test_hmc_preserves_two_node_posterior():

@@ -229,7 +229,13 @@ def test_truncated_poisson_scalar_api():
 
 def test_truncated_poisson_rejects_bad_rate():
     rng = rng_stream(14, 0)
-    with pytest.raises(DomainError):
-        sample_truncated_poisson(0.0, rng)
-    with pytest.raises(DomainError):
-        sample_truncated_poisson(np.array([1.0, -2.0]), rng)
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            sample_truncated_poisson(bad, rng)
+        with pytest.raises(DomainError):
+            sample_truncated_poisson(np.array([1.0, bad, 2.0]), rng)
+
+
+def test_truncated_poisson_empty_rate():
+    x = sample_truncated_poisson(np.array([]), rng_stream(15, 0))
+    assert x.shape == (0,) and x.dtype == np.int64
