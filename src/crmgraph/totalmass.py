@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DomainError, OutOfRegionError
 
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
+# sample_truncated_poisson inverts the CDF at rates up to this; above it
+# the inversion would take about lam passes.
+_INVERSION_MAX_RATE = 10.0
 
 
 def _log_stable_std(rng, alpha):
@@ -179,19 +182,55 @@ def sample_tilted_total_mass(params, tilt, rng):
 
 
 def sample_truncated_poisson(rate, rng):
-    """Zero-truncated Poisson draws in one pass, exact at every rate.
+    """Zero-truncated Poisson draws, exact at every rate, one uniform per rate.
 
-    A zero-truncated Poisson(lam) count is one plus the arrivals of a
-    unit-rate Poisson process on (T, lam], where T is its first arrival
-    conditioned on T < lam: T = -log1p(u expm1(-lam)) by inversion, and
-    X = 1 + Poisson(lam - T).
+    P(X = k) = lam^k / (k! (e^lam - 1)) for k >= 1. Each draw takes one
+    uniform u and splits on its rate before using it:
+
+    - lam <= _INVERSION_MAX_RATE: invert the CDF. X = 1 when
+      u < p_1 = lam / expm1(lam), which settles most draws at the small
+      rates of a sparse graph's latent counts in one vectorised compare.
+      Only the draws still undecided take the next term,
+      p_k = p_{k-1} lam / k, so each pass runs on a shrinking index set.
+      A pass whose term has underflowed to 0 ends a draw (it can happen
+      only for u within rounding of 1).
+    - lam > _INVERSION_MAX_RATE: the number of inversion passes grows like
+      lam, so these draws keep the one-pass form. X is one plus the
+      arrivals of a unit-rate Poisson process on (T, lam], where T is its
+      first arrival conditioned on T < lam: T = -log1p(u expm1(-lam)), and
+      X = 1 + Poisson(lam - T).
+
+    Splitting first matters: applying the u < p_1 shortcut to the large
+    rates too and drawing the rest by the one-pass form would double
+    P(X = 1) there.
     """
     scalar = np.isscalar(rate)
     rate = np.atleast_1d(np.asarray(rate, dtype=float))
     if rate.size and not (rate.min() > 0.0 and np.isfinite(rate.max())):
         raise DomainError("truncated Poisson requires a finite rate > 0")
-    first = -np.log1p(rng.uniform(size=rate.shape) * np.expm1(-rate))
-    out = 1 + rng.poisson(np.maximum(rate - first, 0.0))
+    u = rng.uniform(size=rate.shape)
+    out = np.ones(rate.shape, dtype=np.int64)
+    big = np.flatnonzero(rate > _INVERSION_MAX_RATE)
+    with np.errstate(over="ignore"):    # expm1 is inf above ~709; those rates are big
+        p = rate / np.expm1(rate)
+    idx = np.flatnonzero(u >= p)
+    lam = rate[idx]
+    small = lam <= _INVERSION_MAX_RATE
+    idx, lam = idx[small], lam[small]
+    p = p[idx]
+    left = u[idx] - p                   # u - P(X <= k), >= 0 while undecided
+    k = 1
+    while idx.size:
+        k += 1
+        out[idx] = k
+        p *= lam
+        p /= k
+        left -= p
+        go_on = (left >= 0.0) & (p > 0.0)
+        idx, lam, p, left = idx[go_on], lam[go_on], p[go_on], left[go_on]
+    lam = rate[big]
+    first = -np.log1p(u[big] * np.expm1(-lam))
+    out[big] = 1 + rng.poisson(np.maximum(lam - first, 0.0))
     if scalar:
         return int(out[0])
     return out

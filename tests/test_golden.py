@@ -16,9 +16,9 @@ from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import SimConfig, sample_graph
 from crmgraph.totalmass import sample_truncated_poisson
 
-RUN_CHAIN_SHA256 = "d63cddb226e3460ff3726c879c759453e098264a240f5f0c577d18f498c0522c"
+RUN_CHAIN_SHA256 = "ac4b5b2b67a845fb8df7af691adc987df45bff68559e212c379329bc33c7cc7a"
 SAMPLE_GRAPH_SHA256 = "0df421284f5ebc070b0f6cafef67600026ffc86aa8181d1d0b3c39187fd4b9a4"
-TRUNCATED_POISSON_SHA256 = "75f15ee327b90b061e27df5f9276e1cea7ecb359724fbc89e266b028119df367"
+TRUNCATED_POISSON_SHA256 = "63d7085834c557855ad946d6e5d5f18bb3e3a09bdd75f736bc6f8d366b6d61b9"
 
 
 def _update(h, arr, dtype):

@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import gammaln
 from scipy.stats import kstest, ks_2samp
 
 from crmgraph.errors import DomainError, OutOfRegionError
 from crmgraph.levy import laplace_exponent
 from crmgraph.params import GgpParams, rng_stream
 from crmgraph.totalmass import (
+    _INVERSION_MAX_RATE,
     sample_tilted_total_mass,
     sample_total_mass,
     sample_truncated_poisson,
@@ -219,6 +221,56 @@ def test_truncated_poisson_pmf_small_rate():
         emp = np.mean(x == k)
         se = np.sqrt(pk * (1 - pk) / len(x))
         assert abs(emp - pk) <= 5.0 * se
+
+
+def ztp_pmf(k, lam):
+    """lam^k / (k! (e^lam - 1)), in log space so that huge rates give 0."""
+    return np.exp(k * np.log(lam) - gammaln(k + 1.0) - lam - np.log(-np.expm1(-lam)))
+
+
+@pytest.mark.parametrize("lam", [
+    1e-12, 0.05, 0.8, 3.0,
+    np.nextafter(_INVERSION_MAX_RATE, 0.0), np.nextafter(_INVERSION_MAX_RATE, np.inf),
+    30.0, 1e4,
+])
+def test_truncated_poisson_pmf(lam):
+    # both sides of the split between CDF inversion and the one-pass form
+    x = sample_truncated_poisson(np.full(200000, lam), rng_stream(16, 0))
+    assert x.min() >= 1
+    for k in (1, 2, 3, 4):
+        pk = ztp_pmf(k, lam)
+        se = np.sqrt(pk * (1.0 - pk) / len(x))
+        assert abs(np.mean(x == k) - pk) <= 5.0 * se
+
+
+def test_truncated_poisson_one_just_above_split():
+    # above the split the u < lam/expm1(lam) shortcut must not apply on top
+    # of the one-pass form, which already gives X = 1 at that rate
+    lam = np.nextafter(_INVERSION_MAX_RATE, np.inf)
+    x = sample_truncated_poisson(np.full(1_000_000, lam), rng_stream(17, 0))
+    p1 = lam / np.expm1(lam)
+    se = np.sqrt(p1 * (1.0 - p1) / len(x))
+    assert abs(np.mean(x == 1) - p1) <= 5.0 * se
+
+
+class _LastUniform:
+    """Generator whose uniforms are all the largest double below 1."""
+
+    def __init__(self):
+        self._rng = rng_stream(18, 0)
+
+    def uniform(self, size=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+    def poisson(self, lam):
+        return self._rng.poisson(lam)
+
+
+def test_truncated_poisson_ends_at_largest_uniform():
+    rates = np.concatenate([np.geomspace(1e-300, 1e4, 400),
+                            [np.nextafter(_INVERSION_MAX_RATE, 0.0), _INVERSION_MAX_RATE]])
+    x = sample_truncated_poisson(rates, _LastUniform())
+    assert x.dtype == np.int64 and np.all(x >= 1)
 
 
 def test_truncated_poisson_scalar_api():
