@@ -221,7 +221,8 @@ def hyper_update(state, config, rng):
 def latent_rates(state, graph):
     """Conditional truncated-Poisson rates: 2 w_i w_j off-diagonal, w_i^2 on."""
     w = state.weights()
-    rate = 2.0 * w[graph.edge_i] * w[graph.edge_j]
+    rate = (2.0 * w)[graph.edge_i]
+    rate *= w[graph.edge_j]
     loops = graph.loops
     rate[loops] = w[graph.edge_i[loops]] ** 2
     return rate
