@@ -83,7 +83,7 @@ class UndirectedGraph:
         object.__setattr__(self, "edge_j", hi)
         loop = lo == hi
         object.__setattr__(self, "loops", np.flatnonzero(loop))
-        ends_lo = np.bincount(lo, minlength=self.n_nodes).astype(np.int64)
+        ends_lo = np.bincount(lo, minlength=self.n_nodes)
         object.__setattr__(self, "unit_m", ends_lo + np.bincount(hi, minlength=self.n_nodes))
         # a self-loop contributes 1 to the degree statistics
         object.__setattr__(self, "degree", ends_lo + np.bincount(hi[~loop], minlength=self.n_nodes))

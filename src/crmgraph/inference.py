@@ -91,8 +91,9 @@ class ChainTrace:
 def compute_m(graph, nbar):
     """Per-node exponent m_i from latent edge counts; a self count contributes 2.
 
-    Almost every count is 1, so m starts from its value at nbar = 1, which
-    the graph holds, and adds the excess of the few edges above 1.
+    Most counts are 1 (about nine in ten at paper scale), so m starts from
+    its value at nbar = 1, which the graph holds, and adds the excess
+    nbar - 1 of the other edges.
     """
     up = np.flatnonzero(nbar > 1)
     excess = nbar[up] - 1
