@@ -97,10 +97,9 @@ def compute_m(graph, nbar):
     """
     up = np.flatnonzero(nbar > 1)
     excess = nbar[up] - 1
-    m = graph.unit_m.copy()
-    np.add.at(m, graph.edge_i[up], excess)
-    np.add.at(m, graph.edge_j[up], excess)
-    return m
+    extra = np.bincount(graph.edge_i[up], weights=excess, minlength=graph.n_nodes)
+    extra += np.bincount(graph.edge_j[up], weights=excess, minlength=graph.n_nodes)
+    return graph.unit_m + extra.astype(np.int64)
 
 
 def _check_state(state, graph):

@@ -146,13 +146,15 @@ def test_latent_rates_match_mask_form_bitwise():
 
 
 def test_diverging_hmc_rejects_without_warnings():
-    state, graph = two_node_state()
-    omega = state.omega.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        state, accepted = hmc_update(state, graph, 10, 50.0, rng_stream(102, 0))
-    assert accepted is False
-    np.testing.assert_array_equal(state.omega, omega)
+    # these seeds overflow in exp, in dot and in a scalar power
+    for seed in range(100, 111):
+        state, graph = two_node_state()
+        omega = state.omega.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state, accepted = hmc_update(state, graph, 10, 50.0, rng_stream(seed, 0))
+        assert accepted is False
+        np.testing.assert_array_equal(state.omega, omega)
 
 
 def test_hmc_preserves_two_node_posterior():
