@@ -8,6 +8,7 @@ allowed).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,20 +74,30 @@ class UndirectedGraph:
     edge_i: np.ndarray
     edge_j: np.ndarray
     degree: np.ndarray = field(init=False)
-    loops: np.ndarray = field(init=False)    # indices of the self-loop edges
-    unit_m: np.ndarray = field(init=False)   # per-node edge ends; a self-loop counts 2
 
     def __post_init__(self):
         i, j = self.edge_i, self.edge_j
         lo, hi, _ = _merge_pairs(self.n_nodes, np.minimum(i, j), np.maximum(i, j))
         object.__setattr__(self, "edge_i", lo)
         object.__setattr__(self, "edge_j", hi)
-        loop = lo == hi
-        object.__setattr__(self, "loops", np.flatnonzero(loop))
-        ends_lo = np.bincount(lo, minlength=self.n_nodes)
-        object.__setattr__(self, "unit_m", ends_lo + np.bincount(hi, minlength=self.n_nodes))
         # a self-loop contributes 1 to the degree statistics
-        object.__setattr__(self, "degree", ends_lo + np.bincount(hi[~loop], minlength=self.n_nodes))
+        deg = np.bincount(lo, minlength=self.n_nodes)
+        deg += np.bincount(hi[lo != hi], minlength=self.n_nodes)
+        object.__setattr__(self, "degree", deg.astype(np.int64))
+
+    # Inference reads these on every sweep; a graph that is only drawn or
+    # written never builds them.
+    @cached_property
+    def loops(self):
+        """Indices of the self-loop edges."""
+        return np.flatnonzero(self.edge_i == self.edge_j)
+
+    @cached_property
+    def unit_m(self):
+        """Per-node count of edge ends, a self-loop counting 2: m at nbar = 1."""
+        m = np.bincount(self.edge_i, minlength=self.n_nodes)
+        m += np.bincount(self.edge_j, minlength=self.n_nodes)
+        return m.astype(np.int64)
 
     @property
     def n_edges(self):
