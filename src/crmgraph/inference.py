@@ -124,17 +124,20 @@ def _log_target_and_grad(omega, m_sigma, tau, w_star):
     return float(np.dot(m_sigma, omega) - tau * s - (s + w_star) ** 2), grad
 
 
-def log_posterior(state, graph, *, check=True):
+def log_posterior(state, graph, *, check=True, m=None):
     """Joint log density up to the additive log g* constant.
 
     sum_i [m_i log w_i + log rho(w_i)] - (sum w + w*)^2 plus the Jacobian
     sum_i omega_i of the log parameterization. run_chain passes
     check=False: it draws every latent count itself, so they are >= 1.
+    It also passes m = compute_m(graph, state.nbar), which it computes once
+    per latent draw for this and the next HMC update.
     """
     if check:
         _check_state(state, graph)
-    value, _ = _log_target_and_grad(
-        state.omega, compute_m(graph, state.nbar) - state.sigma, state.tau, state.w_star)
+    if m is None:
+        m = compute_m(graph, state.nbar)
+    value, _ = _log_target_and_grad(state.omega, m - state.sigma, state.tau, state.w_star)
     return value - len(state.omega) * gammaln(1.0 - state.sigma)
 
 
@@ -146,14 +149,17 @@ def grad_log_posterior(state, graph):
     return grad
 
 
-def hmc_update(state, graph, n_steps, stepsize, rng):
+def hmc_update(state, graph, n_steps, stepsize, rng, m=None):
     """One Hamiltonian update of the log-weights; returns acceptance flag.
 
-    The log target is evaluated only at the two ends of the trajectory. A
+    m is compute_m(graph, state.nbar), computed here when not given. The
+    log target is evaluated only at the two ends of the trajectory. A
     diverging trajectory overflows; its non-finite ratio rejects it, so
     numpy's overflow and invalid-value warnings are silenced here.
     """
-    target = (compute_m(graph, state.nbar) - state.sigma, state.tau, state.w_star)
+    if m is None:
+        m = compute_m(graph, state.nbar)
+    target = (m - state.sigma, state.tau, state.w_star)
     omega = state.omega
     p0 = rng.standard_normal(len(omega))
 
@@ -297,6 +303,7 @@ def run_chain(graph, config, chain_id=0):
     rng = rng_stream(config.seed, chain_id)
     state = init_state(graph, rng)
     latent_update(state, graph, rng)                # start latent at its conditional
+    m = compute_m(graph, state.nbar)                # shared until the next latent draw
 
     burn = min(config.adapt_iters, config.n_iter)
     eps0 = 0.1 / max(len(state.omega), 1) ** 0.25
@@ -310,11 +317,12 @@ def run_chain(graph, config, chain_id=0):
     for it in range(config.n_iter):
         adapting = it < burn
         stepsize = adapter.stepsize if adapting else adapter.frozen_stepsize
-        state, acc_hmc = hmc_update(state, graph, config.leapfrog_steps, stepsize, rng)
+        state, acc_hmc = hmc_update(state, graph, config.leapfrog_steps, stepsize, rng, m=m)
         if adapting:
             adapter.update(acc_hmc)
         state, acc_hyp = hyper_update(state, config, rng)
         state = latent_update(state, graph, rng)
+        m = compute_m(graph, state.nbar)
         accept["hmc"] += acc_hmc
         accept["hyper"] += acc_hyp
         if not adapting:
@@ -324,7 +332,7 @@ def run_chain(graph, config, chain_id=0):
         if it >= burn and (it - burn) % config.thin == 0:
             for k in PARAM_FIELDS:
                 recs[k].append(getattr(state, k))
-            recs["log_post"].append(log_posterior(state, graph, check=False))
+            recs["log_post"].append(log_posterior(state, graph, check=False, m=m))
             stride = config.omega_record_stride
             if stride and ((it - burn) // config.thin) % stride == 0:
                 omega_snaps.append(state.omega.copy())

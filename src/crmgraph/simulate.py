@@ -125,20 +125,40 @@ def sample_crm_truncated(params, eps, rng):
     return CrmSample(w, theta, remainder_mass=expected_truncation_mass(params, eps))
 
 
-def _endpoints(w, n, rng):
-    """n i.i.d. indices into w, each drawn with probability proportional to w."""
-    if n == 0:
-        return np.empty(0, np.int64)
-    return rng.choice(len(w), size=n, p=w / w.sum())
-
-
 def _directed_conditional(sample, rng):
-    """Directed multigraph given weights, plus the node -> atom index map."""
+    """Directed multigraph given weights, plus the node -> atom index map.
+
+    D* ~ Poisson(W*^2), and each of the 2 D* endpoints is an atom drawn
+    with probability proportional to its weight. The endpoints are drawn
+    exactly as rng.choice(len(w), 2 D*, p=w / w.sum()) draws them: the
+    same cdf, the same uniforms, the same right-sided search, so the draw
+    and the generator state after it equal choice's bit for bit. The
+    uniforms are searched in sorted order, which walks the cdf forward
+    instead of making 2 D* cache-missing binary searches over it, and
+    which yields the atom indices already sorted: distinct atoms and each
+    endpoint's node label then follow from adjacent differences, with no
+    second sort. DomainError for a negative or non-finite weight.
+    """
     w = sample.weights
     total = w.sum()
+    # NaN and -inf fail the compare; +inf makes the total infinite
+    if not (np.all(w >= 0) and np.isfinite(total)):
+        raise DomainError("weights must be >= 0 with a finite sum")
     n_edges = rng.poisson(total * total)
-    endpoints = _endpoints(w, 2 * n_edges, rng)
-    atom_ids, labels = np.unique(endpoints, return_inverse=True)
+    if n_edges == 0:
+        none = np.empty(0, np.int64)
+        return DirectedMultigraph(0, none, none), none
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(2 * n_edges)
+    order = np.argsort(u)
+    atoms = cdf.searchsorted(u[order], side="right")
+    del cdf, u    # freed early, so the conditional peaks below the CRM draw in memory
+    first = np.diff(atoms, prepend=-1) != 0
+    labels = np.empty(len(atoms), np.int64)
+    labels[order] = np.cumsum(first)
+    labels -= 1
+    atom_ids = atoms[first]
     return DirectedMultigraph(len(atom_ids), labels[0::2], labels[1::2]), atom_ids
 
 

@@ -238,6 +238,23 @@ def test_single_self_loop_node():
     assert np.all(np.isfinite(trace["log_post"]))
 
 
+def test_run_chain_computes_m_once_per_latent_draw(monkeypatch):
+    # the m of a latent draw serves the recorded log_post and the next HMC update
+    import crmgraph.inference as inf
+
+    calls = []
+    original = inf.compute_m
+
+    def counted(graph, nbar):
+        calls.append(len(nbar))
+        return original(graph, nbar)
+
+    monkeypatch.setattr(inf, "compute_m", counted)
+    graph = UndirectedGraph(3, [0, 1, 2], [1, 2, 2])
+    run_chain(graph, McmcConfig(n_iter=40, thin=1, adapt_iters=10, seed=2))
+    assert len(calls) == 40 + 1      # the starting latent draw, then one per sweep
+
+
 def test_empty_graph_rejected():
     graph = UndirectedGraph(3, [], [])
     with pytest.raises(DomainError):

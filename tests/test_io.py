@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from crmgraph.errors import EmptyGraphError, ParseError, SchemaError
 from crmgraph.graphs import UndirectedGraph
 from crmgraph.graphio import (
+    WRITE_BLOCK_EDGES,
     read_edge_list,
     read_trace_csv,
     write_edge_list,
@@ -67,6 +69,39 @@ def test_edge_list_round_trip(tmp_path):
     assert back.n_edges == z.n_edges
     np.testing.assert_array_equal(back.edge_i, z.edge_i)
     np.testing.assert_array_equal(back.edge_j, z.edge_j)
+
+
+def _per_line_form(graph, header=None):
+    """The edge list as one f-string per line writes it."""
+    lines = [f"# {line}\n" for line in header.splitlines()] if header else []
+    lines += [f"{i} {j}\n" for i, j in zip(graph.edge_i.tolist(), graph.edge_j.tolist())]
+    return "".join(lines).encode()
+
+
+def _chain_graph(n_edges):
+    return UndirectedGraph(n_edges + 1, np.arange(n_edges), np.arange(1, n_edges + 1))
+
+
+# write_edge_list reads only edge_i and edge_j; a graph object with ids past
+# 2**31 would allocate per-node arrays of that length, so a stand-in holds them
+WRITER_CASES = {
+    "header": (lambda: sample_graph(SimConfig(params=GgpParams(30.0, 0.5, 1.0),
+                                              truncation_eps=1e-4, seed=2)),
+               "crmgraph sample seed=2\nsecond line"),
+    "empty": (lambda: UndirectedGraph(0, [], []), "header of an empty graph"),
+    "block-plus-one": (lambda: _chain_graph(WRITE_BLOCK_EDGES + 1), None),
+    "ids-past-2**31": (lambda: SimpleNamespace(
+        edge_i=np.array([0, 2**31 - 1, 2**31, 2**40], dtype=np.int64),
+        edge_j=np.array([2**31, 2**31, 2**62, 2**63 - 1], dtype=np.int64)), None),
+}
+
+
+@pytest.mark.parametrize("make_graph, header", WRITER_CASES.values(), ids=WRITER_CASES)
+def test_write_edge_list_matches_the_per_line_form(tmp_path, make_graph, header):
+    graph = make_graph()
+    path = tmp_path / "g.txt"
+    write_edge_list(graph, str(path), header=header)
+    assert path.read_bytes() == _per_line_form(graph, header)
 
 
 def test_simulated_graph_reads_back_with_the_same_node_ids(tmp_path):

@@ -11,7 +11,7 @@ from scipy.stats import expon, gamma, ks_2samp, kstest
 
 from crmgraph import simulate
 from crmgraph.errors import DomainError
-from crmgraph.graphs import CrmSample, UndirectedGraph
+from crmgraph.graphs import CrmSample, DirectedMultigraph, UndirectedGraph
 from crmgraph.levy import expected_truncation_mass, levy_density, tail_intensity
 from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import (
@@ -183,6 +183,74 @@ def test_directed_conditional_numbers_nodes_by_atom_index():
     assert d.n_nodes == len(atom_ids) > 1
     assert np.all(np.diff(atom_ids) > 0)
     assert np.all(d.incident_degree() > 0)
+
+
+def _choice_and_unique(sample, rng):
+    """The directed conditional as numpy's own sampler draws it: rng.choice
+    for the endpoints, np.unique for the node labels.
+
+    The reference is numpy's choice, so a numpy release that changes how
+    choice draws moves it, as it may move the digests in test_golden.py;
+    this test then says that the production draw no longer equals choice's.
+    """
+    w = sample.weights
+    total = w.sum()
+    n_edges = rng.poisson(total * total)
+    endpoints = np.empty(0, np.int64)
+    if n_edges:
+        endpoints = rng.choice(len(w), size=2 * n_edges, p=w / total)
+    atom_ids, labels = np.unique(endpoints, return_inverse=True)
+    return DirectedMultigraph(len(atom_ids), labels[0::2], labels[1::2]), atom_ids
+
+
+def _zeros_mixed_in():
+    w = np.random.default_rng(1).gamma(0.5, size=500)
+    w[::4] = 0.0
+    w[-1] = 0.0
+    return w
+
+
+CONDITIONAL_WEIGHTS = {
+    "one-atom": lambda: np.array([2.5]),
+    "paper-scale": lambda: sample_crm_truncated(GgpParams(300, 0.5, 1.0), 1e-6,
+                                                rng_stream(0)).weights,
+    "1e-6-to-1e2": lambda: np.random.default_rng(0).permutation(
+        np.concatenate([np.geomspace(1e-6, 1e-2, 2000), [1e2, 3.0, 0.5]])),
+    "zeros-mixed-in": _zeros_mixed_in,
+    "all-zero": lambda: np.zeros(50),
+    "no-atoms": lambda: np.zeros(0),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("make_weights", CONDITIONAL_WEIGHTS.values(), ids=CONDITIONAL_WEIGHTS)
+def test_directed_conditional_equals_numpy_choice(make_weights, seed):
+    sample = CrmSample(make_weights())
+    rng, ref_rng = rng_stream(seed, 3), rng_stream(seed, 3)
+    d, atom_ids = simulate._directed_conditional(sample, rng)
+    want, want_ids = _choice_and_unique(sample, ref_rng)
+    assert d.n_nodes == want.n_nodes
+    for got, ref in [(d.src, want.src), (d.dst, want.dst), (d.counts, want.counts),
+                     (atom_ids, want_ids)]:
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+    assert np.all(sample.weights[atom_ids] > 0)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf, -np.inf])
+def test_directed_conditional_rejects_bad_weights_before_drawing(bad):
+    w = np.array([0.5, 0.3, 0.2])
+    w[1] = bad
+    rng = rng_stream(2)
+    with pytest.raises(DomainError):
+        simulate._directed_conditional(CrmSample(w), rng)
+    np.testing.assert_equal(rng.bit_generator.state, rng_stream(2).bit_generator.state)
+
+
+def test_directed_conditional_of_zero_weights_is_an_empty_graph():
+    d, atom_ids = simulate._directed_conditional(CrmSample(np.zeros(4)), rng_stream(2))
+    assert (d.n_nodes, d.total_edges, len(atom_ids)) == (0, 0, 0)
 
 
 def test_undirected_sample_ground_truth_alignment():
