@@ -109,18 +109,23 @@ def _check_state(state, graph):
         raise InconsistentStateError("latent counts must be >= 1 on edges")
 
 
-def _grad_and_mass(omega, m_sigma, tau, w_star):
+def _grad_and_mass(omega, m_sigma, tau, w_star, out=None):
     """Gradient in omega of the omega terms of the log posterior,
-    (m_i - sigma) - w_i (tau + 2 sum_j w_j + 2 w*), and sum_j w_j."""
-    w = np.exp(omega)
+    (m_i - sigma) - w_i (tau + 2 sum_j w_j + 2 w*), and sum_j w_j.
+
+    The gradient is written into out when given (it may not alias omega)
+    and into a new array otherwise.
+    """
+    w = np.exp(omega, out=out)
     s = w.sum()
-    return m_sigma - w * (tau + 2.0 * s + 2.0 * w_star), s
+    w *= tau + 2.0 * s + 2.0 * w_star
+    return np.subtract(m_sigma, w, out=w), s
 
 
-def _log_target_and_grad(omega, m_sigma, tau, w_star):
+def _log_target_and_grad(omega, m_sigma, tau, w_star, out=None):
     """Terms of the log posterior that depend on omega, Jacobian included,
-    and their gradient; m_sigma is m - sigma."""
-    grad, s = _grad_and_mass(omega, m_sigma, tau, w_star)
+    and their gradient (written into out when given); m_sigma is m - sigma."""
+    grad, s = _grad_and_mass(omega, m_sigma, tau, w_star, out)
     return float(np.dot(m_sigma, omega) - tau * s - (s + w_star) ** 2), grad
 
 
@@ -156,23 +161,31 @@ def hmc_update(state, graph, n_steps, stepsize, rng, m=None):
     log target is evaluated only at the two ends of the trajectory. A
     diverging trajectory overflows; its non-finite ratio rejects it, so
     numpy's overflow and invalid-value warnings are silenced here.
+
+    The trajectory runs in place in one copy of omega, the momentum and
+    one work buffer, so state.omega is never written; each step rounds
+    exactly as q + eps p and p + eps grad would.
     """
     if m is None:
         m = compute_m(graph, state.nbar)
     target = (m - state.sigma, state.tau, state.w_star)
-    omega = state.omega
-    p0 = rng.standard_normal(len(omega))
+    p0 = rng.standard_normal(len(state.omega))
+    half = 0.5 * stepsize
 
     with np.errstate(over="ignore", invalid="ignore"):
-        log_p0, grad = _log_target_and_grad(omega, *target)
-        p = p0 + 0.5 * stepsize * grad
-        q = omega
+        log_p0, buf = _log_target_and_grad(state.omega, *target)
+        buf *= half
+        p = p0 + buf
+        q = state.omega.copy()
         for _ in range(n_steps - 1):
-            q = q + stepsize * p
-            p = p + stepsize * _grad_and_mass(q, *target)[0]
-        q = q + stepsize * p
-        log_p, grad = _log_target_and_grad(q, *target)
-        p = -(p + 0.5 * stepsize * grad)
+            q += np.multiply(stepsize, p, out=buf)
+            _grad_and_mass(q, *target, out=buf)
+            buf *= stepsize
+            p += buf
+        q += np.multiply(stepsize, p, out=buf)
+        log_p, buf = _log_target_and_grad(q, *target, out=buf)
+        buf *= half
+        p += buf    # the end momentum is -p; its sign drops out of p.p
         log_r = log_p - log_p0 - 0.5 * (np.dot(p, p) - np.dot(p0, p0))
     if not np.isfinite(log_r):
         return state, False

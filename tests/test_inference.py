@@ -15,6 +15,7 @@ from crmgraph.inference import (
     grad_log_posterior,
     hmc_update,
     hyper_update,
+    init_state,
     latent_rates,
     latent_update,
     log_posterior,
@@ -157,6 +158,22 @@ def test_diverging_hmc_rejects_without_warnings():
         np.testing.assert_array_equal(state.omega, omega)
 
 
+@pytest.mark.parametrize("stepsize, accepts", [(50.0, False), (1e-3, True)])
+def test_hmc_never_writes_into_the_callers_omega(stepsize, accepts):
+    # the trajectory runs in place, so it must run in a copy: a rejected
+    # update keeps state.omega itself, an accepted one swaps in a new array
+    z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.5, 1.0), 1e-3, seed=6))
+    state = init_state(z, rng_stream(7, 0))
+    before = state.omega
+    saved = before.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, accepted = hmc_update(state, z, 10, stepsize, rng_stream(7, 1))
+    assert accepted is accepts
+    assert (state.omega is before) is not accepts
+    assert before.tobytes() == saved
+
+
 def test_hmc_preserves_two_node_posterior():
     # fixed hyperparameters and latents: compare the production HMC kernel
     # against 2-D quadrature of the unnormalized density in w. A self-loop
@@ -208,8 +225,6 @@ def test_hyper_update_moves_and_keeps_validity():
     z, _ = sample_undirected_ggp(cfg)
     mc = McmcConfig(n_iter=10, seed=0, rw_sd=0.1)
     rng = rng_stream(104, 0)
-    from crmgraph.inference import init_state
-
     state = init_state(z, rng)
     latent_update(state, z, rng)
     n_acc = 0
