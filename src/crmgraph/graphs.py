@@ -107,16 +107,13 @@ class UndirectedGraph:
 
 @dataclass(frozen=True, eq=False)
 class CrmSample:
-    """Finite atoms (weights, optional locations) plus unrepresented remainder mass."""
+    """Finite atom weights plus unrepresented remainder mass."""
 
     weights: np.ndarray
-    locations: np.ndarray = None
     remainder_mass: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.locations is not None:
-            object.__setattr__(self, "locations", np.asarray(self.locations, dtype=float))
         if self.remainder_mass < 0:
             raise DomainError("remainder mass must be >= 0")
 

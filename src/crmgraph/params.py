@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveAlphaError, OutOfRegionError
+from .errors import DomainError, NonPositiveAlphaError, OutOfRegionError
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,20 @@ class GgpParams:
 
 
 def rng_stream(seed, stream=0):
-    """Counter-based generator keyed by (seed, stream id).
+    """Generator keyed by (seed, stream id) through numpy's SeedSequence.
 
-    Identical (seed, stream) pairs yield identical draw sequences; distinct
-    stream ids give statistically independent streams, so replicate-level
-    work can be farmed out without coordination.
+    The SFC64 bit generator is seeded by
+    SeedSequence(seed, spawn_key=(stream,)), the sequence that
+    SeedSequence(seed).spawn hands its child number `stream`. Identical
+    (seed, stream) pairs yield identical draw sequences. A seed below
+    2**128 fills the sequence's four-word entropy pool and the stream id
+    follows it, so distinct pairs give distinct, statistically independent
+    streams, and replicate-level work can be farmed out without
+    coordination. DomainError unless 0 <= seed < 2**128 and stream >= 0:
+    a longer seed would run into the stream id's words.
     """
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(stream)))
+    seed, stream = int(seed), int(stream)
+    if not (0 <= seed < 2**128 and stream >= 0):
+        raise DomainError(
+            f"need 0 <= seed < 2**128 and stream id >= 0, got seed={seed}, stream={stream}")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))

@@ -29,6 +29,10 @@ from .levy import (
 from .params import GgpParams, rng_stream
 
 DEFAULT_EPS = 1e-6
+# numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max),
+# about 9.2e18; this is the largest W* whose square stays at or below it
+_MAX_TOTAL_MASS = np.nextafter(
+    np.sqrt(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -114,15 +118,13 @@ def sample_crm_truncated(params, eps, rng):
     The weights are the points of a Poisson process with intensity
     alpha rho(w) on (eps, inf), drawn by exact Poisson thinning of two
     closed-form envelopes for tau > 0 (no special function is evaluated
-    per atom) and by closed-form tail inversion for tau = 0; locations are
-    uniform on [0, alpha]. The mean mass below eps is recorded as remainder
-    (it never spawns edges).
+    per atom) and by closed-form tail inversion for tau = 0. The mean mass
+    below eps is recorded as remainder (it never spawns edges).
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     w, _ = _crm_weights(params, eps, rng)
-    theta = rng.uniform(0.0, params.alpha, size=len(w))
-    return CrmSample(w, theta, remainder_mass=expected_truncation_mass(params, eps))
+    return CrmSample(w, remainder_mass=expected_truncation_mass(params, eps))
 
 
 def _directed_conditional(sample, rng):
@@ -137,13 +139,16 @@ def _directed_conditional(sample, rng):
     instead of making 2 D* cache-missing binary searches over it, and
     which yields the atom indices already sorted: distinct atoms and each
     endpoint's node label then follow from adjacent differences, with no
-    second sort. DomainError for a negative or non-finite weight.
+    second sort. DomainError for a negative or non-finite weight, and for
+    a total W* whose square passes numpy's Poisson limit (about 9.2e18).
     """
     w = sample.weights
     total = w.sum()
-    # NaN and -inf fail the compare; +inf makes the total infinite
-    if not (np.all(w >= 0) and np.isfinite(total)):
-        raise DomainError("weights must be >= 0 with a finite sum")
+    # NaN and -inf fail the compare; +inf makes the total too large
+    if not (np.all(w >= 0) and total <= _MAX_TOTAL_MASS):
+        raise DomainError(
+            f"weights must be >= 0 with a sum of at most {_MAX_TOTAL_MASS:.6g}, so that "
+            f"W*^2 is within numpy's Poisson limit; got sum {total:.6g}")
     n_edges = rng.poisson(total * total)
     if n_edges == 0:
         none = np.empty(0, np.int64)
@@ -187,12 +192,7 @@ def sample_undirected_ggp(config, rng=None):
     if not config.include_self_loops:
         z, kept = _strip_self_loops(z)
         atom_ids = atom_ids[kept]
-    node_sample = CrmSample(
-        crm.weights[atom_ids],
-        None if crm.locations is None else crm.locations[atom_ids],
-        remainder_mass=crm.remainder_mass,
-    )
-    return z, node_sample
+    return z, CrmSample(crm.weights[atom_ids], remainder_mass=crm.remainder_mass)
 
 
 def sample_gamma_urn(alpha, tau, rng):

@@ -2,9 +2,10 @@
 
 A refactor that claims identical output proves it here. A change that
 moves a random stream on purpose updates the affected digest and says so.
-The digests depend on numpy's Philox stream and on the platform's libm
-(exp, log, lgamma), so a different numpy or C library may change them
-without any change to this package.
+The digests depend on numpy's SFC64 stream, seeded through SeedSequence
+(see rng_stream), and on the platform's libm (exp, log, lgamma), so a
+different numpy or C library may change them without any change to this
+package.
 """
 
 import hashlib
@@ -16,9 +17,9 @@ from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import SimConfig, sample_graph
 from crmgraph.totalmass import sample_truncated_poisson
 
-RUN_CHAIN_SHA256 = "ac4b5b2b67a845fb8df7af691adc987df45bff68559e212c379329bc33c7cc7a"
-SAMPLE_GRAPH_SHA256 = "0df421284f5ebc070b0f6cafef67600026ffc86aa8181d1d0b3c39187fd4b9a4"
-TRUNCATED_POISSON_SHA256 = "63d7085834c557855ad946d6e5d5f18bb3e3a09bdd75f736bc6f8d366b6d61b9"
+RUN_CHAIN_SHA256 = "8435b657e28a03b9c450e81c611cef697461ecef9017776c758497f31604fcf8"
+SAMPLE_GRAPH_SHA256 = "b3f65d4d61d31ac61b40ea96f375c62d1f30e9e0eb088e432702f6ac1a1cd749"
+TRUNCATED_POISSON_SHA256 = "049764308a3e09e11394c0990c7a95362619b6ebdb8eccaff544f037832af984"
 
 
 def _update(h, arr, dtype):

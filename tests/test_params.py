@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crmgraph.errors import NonPositiveAlphaError, OutOfRegionError
+from crmgraph.errors import DomainError, NonPositiveAlphaError, OutOfRegionError
 from crmgraph.params import GgpParams, rng_stream
 
 
@@ -67,3 +67,15 @@ def test_rng_stream_reproducible_and_distinct():
     np.testing.assert_array_equal(a, b)
     assert not np.allclose(a, c)
     assert not np.allclose(a, d)
+
+
+def test_rng_stream_keys_do_not_alias():
+    # a packed key (seed << 64) + stream would make these two one stream
+    a = rng_stream(0, 2**64).standard_normal(5)
+    assert not np.allclose(a, rng_stream(1, 0).standard_normal(5))
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (2**128, 0)])
+def test_rng_stream_rejects_bad_keys(seed, stream):
+    with pytest.raises(DomainError):
+        rng_stream(seed, stream)
