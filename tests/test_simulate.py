@@ -237,22 +237,14 @@ def test_directed_conditional_equals_numpy_choice(make_weights, seed):
     assert np.all(sample.weights[atom_ids] > 0)
 
 
-@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf, -np.inf])
+# 4e9 and 1e200 put W*^2 past numpy's Poisson limit (~9.2e18), 1e200 without overflow
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf, -np.inf, 4e9, 1e200])
 def test_directed_conditional_rejects_bad_weights_before_drawing(bad):
     w = np.array([0.5, 0.3, 0.2])
     w[1] = bad
     rng = rng_stream(2)
     with pytest.raises(DomainError):
         simulate._directed_conditional(CrmSample(w), rng)
-    np.testing.assert_equal(rng.bit_generator.state, rng_stream(2).bit_generator.state)
-
-
-@pytest.mark.parametrize("total", [4e9, 1e200])
-def test_directed_conditional_rejects_mass_past_the_poisson_limit(total):
-    # W*^2 above numpy's Poisson limit (~9.2e18), with no overflow on the way
-    rng = rng_stream(2)
-    with pytest.raises(DomainError):
-        simulate._directed_conditional(CrmSample([total]), rng)
     np.testing.assert_equal(rng.bit_generator.state, rng_stream(2).bit_generator.state)
 
 
