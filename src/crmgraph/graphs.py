@@ -30,6 +30,14 @@ def _merge_pairs(n, a, b):
     return keys // n, keys % n, counts
 
 
+def edge_end_counts(n, i, j, counts=None):
+    """Per-node count m over [0, n) of the ends of edges (i, j), each edge
+    taken counts times (once when counts is None); a self edge counts twice."""
+    m = np.bincount(i, weights=counts, minlength=n)
+    m += np.bincount(j, weights=counts, minlength=n)
+    return m.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class DirectedMultigraph:
     """Sparse directed edge counts n_ij >= 1 over 0-based contiguous ids.
@@ -55,9 +63,7 @@ class DirectedMultigraph:
 
     def incident_degree(self):
         """Per-node count of outgoing plus incoming edges; a self edge counts twice."""
-        deg = np.bincount(self.src, weights=self.counts, minlength=self.n_nodes)
-        deg += np.bincount(self.dst, weights=self.counts, minlength=self.n_nodes)
-        return deg.astype(np.int64)
+        return edge_end_counts(self.n_nodes, self.src, self.dst, self.counts)
 
     def count_matrix(self):
         """Dense n_ij matrix; only for small graphs (tests, oracles)."""
@@ -95,9 +101,7 @@ class UndirectedGraph:
     @cached_property
     def unit_m(self):
         """Per-node count of edge ends, a self-loop counting 2: m at nbar = 1."""
-        m = np.bincount(self.edge_i, minlength=self.n_nodes)
-        m += np.bincount(self.edge_j, minlength=self.n_nodes)
-        return m.astype(np.int64)
+        return edge_end_counts(self.n_nodes, self.edge_i, self.edge_j)
 
     @property
     def n_edges(self):

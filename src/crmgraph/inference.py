@@ -19,8 +19,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, InconsistentStateError
+from .graphs import edge_end_counts
 from .levy import laplace_exponent
-from .params import GgpParams, rng_stream
+from .params import GgpParams, check_seed, rng_stream
 from .totalmass import sample_tilted_total_mass, sample_truncated_poisson
 
 PARAM_FIELDS = ("alpha", "sigma", "tau", "w_star")  # McmcState scalars a trace keeps
@@ -67,6 +68,7 @@ class McmcConfig:
             self.adapt_iters = self.n_iter // 4
         if self.adapt_iters < 0:
             raise DomainError(f"adapt_iters must be >= 0, got {self.adapt_iters}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -96,10 +98,8 @@ def compute_m(graph, nbar):
     nbar - 1 of the other edges.
     """
     up = np.flatnonzero(nbar > 1)
-    excess = nbar[up] - 1
-    extra = np.bincount(graph.edge_i[up], weights=excess, minlength=graph.n_nodes)
-    extra += np.bincount(graph.edge_j[up], weights=excess, minlength=graph.n_nodes)
-    return graph.unit_m + extra.astype(np.int64)
+    return graph.unit_m + edge_end_counts(
+        graph.n_nodes, graph.edge_i[up], graph.edge_j[up], nbar[up] - 1)
 
 
 def _check_state(state, graph):
@@ -226,7 +226,7 @@ def hyper_update(state, config, rng):
         + (sigma - sigma_p) * sum_log_w
         + n * (
             gammaln(1.0 - sigma) + np.log(laplace_exponent(shape, 2.0 * s_w + w_star_p))
-            - gammaln(1.0 - sigma_p) - np.log(laplace_exponent(shape_p, tilt))
+            - gammaln(1.0 - sigma_p) - np.log(rate_p)
         )
     )
     if not np.isfinite(log_r):
@@ -277,10 +277,11 @@ def init_state(graph, rng):
 class _DualAveraging:
     """Nesterov dual averaging of the leapfrog stepsize toward a target rate."""
 
-    def __init__(self, eps0, target, gamma=0.05, t0=10.0, kappa=0.75):
+    GAMMA, T0, KAPPA = 0.05, 10.0, 0.75
+
+    def __init__(self, eps0, target):
         self.mu = np.log(10.0 * eps0)
         self.target = target
-        self.gamma, self.t0, self.kappa = gamma, t0, kappa
         self.log_eps = np.log(eps0)
         self.log_eps_bar = np.log(eps0)
         self.h_bar = 0.0
@@ -288,10 +289,10 @@ class _DualAveraging:
 
     def update(self, accepted):
         self.t += 1
-        frac = 1.0 / (self.t + self.t0)
+        frac = 1.0 / (self.t + self.T0)
         self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - float(accepted))
-        self.log_eps = self.mu - np.sqrt(self.t) / self.gamma * self.h_bar
-        w = self.t ** (-self.kappa)
+        self.log_eps = self.mu - np.sqrt(self.t) / self.GAMMA * self.h_bar
+        w = self.t ** (-self.KAPPA)
         self.log_eps_bar = w * self.log_eps + (1.0 - w) * self.log_eps_bar
 
     @property
@@ -324,41 +325,36 @@ def run_chain(graph, config, chain_id=0):
 
     recs = {k: [] for k in TRACE_FIELDS}
     omega_snaps = []
-    accept = {"hmc": 0, "hyper": 0}
-    post_window = {"hmc": 0, "hyper": 0, "n": 0}
+    accepted = np.zeros((config.n_iter, 2), dtype=bool)    # per iteration: HMC, hyper
+    kept = range(burn, config.n_iter, config.thin)
+    stride = config.omega_record_stride
 
     for it in range(config.n_iter):
         adapting = it < burn
         stepsize = adapter.stepsize if adapting else adapter.frozen_stepsize
-        state, acc_hmc = hmc_update(state, graph, config.leapfrog_steps, stepsize, rng, m=m)
+        state, accepted[it, 0] = hmc_update(state, graph, config.leapfrog_steps, stepsize, rng, m=m)
         if adapting:
-            adapter.update(acc_hmc)
-        state, acc_hyp = hyper_update(state, config, rng)
+            adapter.update(accepted[it, 0])
+        state, accepted[it, 1] = hyper_update(state, config, rng)
         state = latent_update(state, graph, rng)
         m = compute_m(graph, state.nbar)
-        accept["hmc"] += acc_hmc
-        accept["hyper"] += acc_hyp
-        if not adapting:
-            post_window["hmc"] += acc_hmc
-            post_window["hyper"] += acc_hyp
-            post_window["n"] += 1
-        if it >= burn and (it - burn) % config.thin == 0:
+        if it in kept:
             for k in PARAM_FIELDS:
                 recs[k].append(getattr(state, k))
             recs["log_post"].append(log_posterior(state, graph, check=False, m=m))
-            stride = config.omega_record_stride
-            if stride and ((it - burn) // config.thin) % stride == 0:
+            if stride and kept.index(it) % stride == 0:
                 omega_snaps.append(state.omega.copy())
 
-    n_post = max(post_window["n"], 1)
+    rates = accepted.sum(axis=0) / max(config.n_iter, 1)
+    post = accepted[burn:].sum(axis=0) / max(config.n_iter - burn, 1)
     return ChainTrace(
         records={k: np.asarray(v) for k, v in recs.items()},
         omega=np.asarray(omega_snaps) if omega_snaps else None,
         accept_rates={
-            "hmc": accept["hmc"] / max(config.n_iter, 1),
-            "hyper": accept["hyper"] / max(config.n_iter, 1),
-            "hmc_post_adapt": post_window["hmc"] / n_post,
-            "hyper_post_adapt": post_window["hyper"] / n_post,
+            "hmc": float(rates[0]),
+            "hyper": float(rates[1]),
+            "hmc_post_adapt": float(post[0]),
+            "hyper_post_adapt": float(post[1]),
         },
         chain_id=chain_id,
         meta={

@@ -49,16 +49,13 @@ def _log_upper_gamma(a, x):
 
 def levy_density(params, w):
     """GGP Levy density rho(w) = w^(-1-sigma) e^(-tau w) / Gamma(1-sigma)."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise DomainError("levy_density requires w > 0")
     return np.exp(log_levy_density(params, w))
 
 
 def log_levy_density(params, w):
     w = np.asarray(w, dtype=float)
     if np.any(w <= 0):
-        raise DomainError("log_levy_density requires w > 0")
+        raise DomainError("the Levy density requires w > 0")
     s, t = params.sigma, params.tau
     return (-1.0 - s) * np.log(w) - t * w - gammaln(1.0 - s)
 

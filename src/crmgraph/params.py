@@ -1,5 +1,6 @@
 """GGP hyperparameters and reproducible random streams."""
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,20 @@ class GgpParams:
         return GgpParams(self.alpha, self.sigma, self.tau + c)
 
 
+def check_seed(seed, stream=0):
+    """(seed, stream) as ints; DomainError unless both are integers (numpy's
+    too, floats not), 0 <= seed < 2**128 and stream >= 0."""
+    try:
+        key = operator.index(seed), operator.index(stream)
+        ok = 0 <= key[0] < 2**128 and key[1] >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError("need integers 0 <= seed < 2**128 and stream id >= 0, "
+                          f"got seed={seed!r}, stream={stream!r}")
+    return key
+
+
 def rng_stream(seed, stream=0):
     """Generator keyed by (seed, stream id) through numpy's SeedSequence.
 
@@ -48,11 +63,8 @@ def rng_stream(seed, stream=0):
     2**128 fills the sequence's four-word entropy pool and the stream id
     follows it, so distinct pairs give distinct, statistically independent
     streams, and replicate-level work can be farmed out without
-    coordination. DomainError unless 0 <= seed < 2**128 and stream >= 0:
-    a longer seed would run into the stream id's words.
+    coordination. DomainError unless check_seed accepts the pair: a longer
+    seed would run into the stream id's words.
     """
-    seed, stream = int(seed), int(stream)
-    if not (0 <= seed < 2**128 and stream >= 0):
-        raise DomainError(
-            f"need 0 <= seed < 2**128 and stream id >= 0, got seed={seed}, stream={stream}")
+    seed, stream = check_seed(seed, stream)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))

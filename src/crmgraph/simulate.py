@@ -4,9 +4,10 @@ All paths target the same hierarchy: a (truncated) CRM draw gives node
 weights, the directed multigraph is Poisson given the squared total mass,
 and the undirected graph keeps one edge per connected unordered pair. The
 truncated path draws the CRM atoms above eps by exact Poisson thinning of
-closed-form envelopes. The gamma-process urn, the Kallenberg construction
-(unit-rate marks through the numerically inverted tail intensity) and the
-compound Poisson jumps of a sigma < 0 GGP are independent, distributionally
+closed-form envelopes. The gamma-process urn and the Kallenberg
+construction (unit-rate marks through the inverted tail intensity; for
+sigma < 0 its finite-activity case, whose marks are the Gamma(-sigma, tau)
+jumps of a compound Poisson process) are independent, distributionally
 equivalent alternatives used for cross-validation. Every path finishes a
 draw by the same rules: a draw with no atoms is an empty graph, isolated
 nodes drop, self-loops drop when include_self_loops is false, and nodes are
@@ -26,7 +27,7 @@ from .levy import (
     tail_intensity,
     total_tail_mass,
 )
-from .params import GgpParams, rng_stream
+from .params import GgpParams, check_seed, rng_stream
 
 DEFAULT_EPS = 1e-6
 # numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max),
@@ -46,6 +47,7 @@ class SimConfig:
     include_self_loops: bool = True
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.truncation_eps <= 0:
             raise DomainError("truncation_eps must be positive")
         if self.path not in SIM_PATHS:
@@ -183,7 +185,10 @@ def sample_undirected_ggp(config, rng=None):
 
     The returned sample is restricted to the atoms that became graph nodes,
     ordered by node id, so it serves as ground truth for recovery tests.
+    Only the truncated path has that ground truth: DomainError for another.
     """
+    if config.path != "truncated":
+        raise DomainError(f"sample_undirected_ggp draws the truncated path, not {config.path!r}")
     if rng is None:
         rng = rng_stream(config.seed)
     crm = sample_crm_truncated(config.params, config.truncation_eps, rng)
@@ -244,40 +249,23 @@ def _bernoulli_pair_edges(w, rng, chunk=512):
 def sample_kallenberg(params, eps, rng):
     """Undirected graph from the thinned unit-rate mark construction.
 
-    Unit-rate marks on [0, alpha rhobar(eps)] map to weights through the
-    inverse tail intensity; each unordered pair is edged independently with
-    the pair probability of the weight construction. Isolated nodes drop.
+    Unit-rate marks theta on [0, alpha rhobar(eps)] map to weights through
+    the inverse tail intensity; each unordered pair is edged independently
+    with the pair probability of the weight construction. Isolated nodes
+    drop. For sigma < 0 the activity is finite, rhobar(0+) = tau^sigma /
+    (-sigma), and rhobar^-1(theta) = H^-1(1 - theta / rhobar(0+)) with H the
+    Gamma(-sigma, tau) cdf: all alpha rhobar(0+) marks are kept, their
+    uniforms go through H^-1 directly, and eps is unused.
     """
     if params.sigma < 0:
-        raise DomainError("Kallenberg path requires infinite activity (sigma >= 0)")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    bound = params.alpha * tail_intensity(params, eps)
-    k = rng.poisson(bound)
-    marks = rng.uniform(0.0, bound, size=k)
-    w = inv_tail_intensity(params, marks / params.alpha)
+        k = rng.poisson(params.alpha * total_tail_mass(params))
+        w = gammaincinv(-params.sigma, rng.uniform(size=k)) * (1.0 / params.tau)
+    else:
+        bound = params.alpha * tail_intensity(params, eps)    # DomainError for eps <= 0
+        k = rng.poisson(bound)
+        marks = rng.uniform(0.0, bound, size=k)
+        w = inv_tail_intensity(params, marks / params.alpha)
     ei, ej = _bernoulli_pair_edges(w, rng)
-    return compact_graph(ei, ej)[0]
-
-
-def gamma_weight_quantile(sigma, tau):
-    """H^-1 for the sigma < 0 GGP, whose jumps are i.i.d. Gamma(-sigma, tau)."""
-    if sigma >= 0 or tau <= 0:
-        raise DomainError("gamma jumps require sigma < 0 and tau > 0")
-    return lambda u: gammaincinv(-sigma, u) * (1.0 / tau)
-
-
-def _compound_poisson_path(params, eps, rng):
-    """Graphon-style draw for finite activity (sigma < 0).
-
-    Poisson(alpha rhobar(0+)) i.i.d. Gamma(-sigma, tau) jumps; each pair is
-    edged with 1 - exp(-2 w_i w_j) and each node looped with 1 - exp(-w_i^2).
-    As on the other paths, nodes without an edge are not part of the graph.
-    DomainError for sigma >= 0.
-    """
-    hinv = gamma_weight_quantile(params.sigma, params.tau)
-    n = rng.poisson(params.alpha * total_tail_mass(params))
-    ei, ej = _bernoulli_pair_edges(hinv(rng.uniform(size=n)), rng)
     return compact_graph(ei, ej)[0]
 
 
@@ -286,7 +274,6 @@ _PATH_SAMPLERS = {
     "urn": lambda params, eps, rng: to_undirected(
         sample_gamma_urn(params.alpha, params.tau, rng)),
     "kallenberg": sample_kallenberg,
-    "compound-poisson": _compound_poisson_path,
 }
 SIM_PATHS = ("truncated", *_PATH_SAMPLERS)
 

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, OutOfRegionError
+from .levy import total_tail_mass
 
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 # sample_truncated_poisson inverts the CDF at rates up to this; above it
@@ -161,7 +162,7 @@ def sample_total_mass(params, rng):
         # k i.i.d. Gamma(-sigma, tau) jumps sum to one Gamma(-k sigma, tau).
         # numpy's Poisson stops near 9.2e18; from 1e18 on, k is drawn from
         # its normal limit, whose CDF is within 1e-9 of Poisson(lam)'s.
-        lam = -(a / s) * t**s
+        lam = a * total_tail_mass(params)
         k = rng.poisson(lam) if lam < 1e18 else rng.normal(lam, math.sqrt(lam))
         return float(rng.gamma(-k * s, 1.0 / t)) if k else 0.0
     # sigma in (0, 1): scaled, exponentially tilted stable with tilt t*scale;

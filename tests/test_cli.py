@@ -46,9 +46,11 @@ def test_invalid_params_exit_1(tmp_path, capsys):
     ["scaling", "--sigma", "0.5", "--tau", "1", "--alpha-grid", "2", "2", "2"],
     ["sample", "--alpha", "5", "--sigma", "0.5", "--tau", "1", "--seed", "-1", "--out", "x.txt"],
     ["fit", "{graph}", "--n-iter", "20", "--seed", "-1"],
+    ["fit", "{graph}", "--n-iter", "20", "--leapfrog-steps", "0"],
+    ["fit", "{graph}", "--n-iter", "20", "--target-accept", "1"],
 ], ids=["n-chains-0", "negative-adapt-iters", "ppc-of-empty-trace", "scaling-empty-graphs",
         "rw-sd-nan", "rw-sd-negative", "scaling-one-distinct-alpha", "sample-negative-seed",
-        "fit-negative-seed"])
+        "fit-negative-seed", "leapfrog-steps-0", "target-accept-1"])
 def test_bad_run_settings_exit_1(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     graph = tmp_path / "g.txt"

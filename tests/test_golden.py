@@ -20,6 +20,8 @@ from crmgraph.totalmass import sample_truncated_poisson
 RUN_CHAIN_SHA256 = "8435b657e28a03b9c450e81c611cef697461ecef9017776c758497f31604fcf8"
 SAMPLE_GRAPH_SHA256 = "b3f65d4d61d31ac61b40ea96f375c62d1f30e9e0eb088e432702f6ac1a1cd749"
 TRUNCATED_POISSON_SHA256 = "049764308a3e09e11394c0990c7a95362619b6ebdb8eccaff544f037832af984"
+# pinned on the compound-Poisson path that the sigma < 0 Kallenberg path replaced
+FINITE_ACTIVITY_SHA256 = "db3152126700f457f64fd877eeb07ceb972d9045e6ca2211de550ac06a82cda6"
 
 
 def _update(h, arr, dtype):
@@ -62,6 +64,16 @@ def test_sample_graph_truncated_digest():
     z = sample_graph(SimConfig(params=GgpParams(60.0, 0.5, 1.0), truncation_eps=1e-5, seed=21))
     assert z.n_nodes > 100
     assert graph_sha256(z) == SAMPLE_GRAPH_SHA256
+
+
+def test_sample_graph_finite_activity_kallenberg_digest():
+    h = hashlib.sha256()
+    for seed, sigma in enumerate((-0.5, -1.0, -3.0)):
+        p = GgpParams(30.0, sigma, 0.7)
+        z = sample_graph(SimConfig(params=p, seed=40 + seed, path="kallenberg"))
+        assert z.n_edges > 100
+        h.update(graph_sha256(z).encode())
+    assert h.hexdigest() == FINITE_ACTIVITY_SHA256
 
 
 def test_truncated_poisson_digest():

@@ -270,6 +270,23 @@ def test_run_chain_computes_m_once_per_latent_draw(monkeypatch):
     assert len(calls) == 40 + 1      # the starting latent draw, then one per sweep
 
 
+def test_mcmc_config_rejects_non_integral_seed():
+    for seed in (1.9, -1):
+        with pytest.raises(DomainError):
+            McmcConfig(n_iter=1, seed=seed)
+    assert McmcConfig(n_iter=1, seed=np.int64(4)).seed == 4
+
+
+def test_leapfrog_steps_and_target_accept_drive_the_chain():
+    z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.5, 1.0), 1e-3, seed=6))
+    one_step = run_chain(z, McmcConfig(n_iter=30, leapfrog_steps=1, seed=2))
+    assert len(one_step) > 0 and np.all(np.isfinite(one_step["log_post"]))
+    # a higher target acceptance rate adapts to a smaller frozen stepsize
+    frozen = [run_chain(z, McmcConfig(n_iter=200, target_accept=a, seed=2)).meta["stepsize"]
+              for a in (0.9, 0.3)]
+    assert frozen[0] < frozen[1]
+
+
 def test_empty_graph_rejected():
     graph = UndirectedGraph(3, [], [])
     with pytest.raises(DomainError):

@@ -75,7 +75,7 @@ def test_rng_stream_keys_do_not_alias():
     assert not np.allclose(a, rng_stream(1, 0).standard_normal(5))
 
 
-@pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (2**128, 0)])
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (2**128, 0), (1.9, 0), (0, 1.5)])
 def test_rng_stream_rejects_bad_keys(seed, stream):
     with pytest.raises(DomainError):
         rng_stream(seed, stream)

@@ -11,13 +11,18 @@ from scipy.stats import expon, gamma, ks_2samp, kstest
 
 from crmgraph import simulate
 from crmgraph.errors import DomainError
-from crmgraph.graphs import CrmSample, DirectedMultigraph, UndirectedGraph
-from crmgraph.levy import expected_truncation_mass, levy_density, tail_intensity
+from crmgraph.graphs import CrmSample, DirectedMultigraph, UndirectedGraph, compact_graph
+from crmgraph.levy import (
+    expected_truncation_mass,
+    levy_density,
+    tail_intensity,
+    total_tail_mass,
+)
 from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import (
     SimConfig,
+    _bernoulli_pair_edges,
     _crm_weights,
-    gamma_weight_quantile,
     sample_crm_truncated,
     sample_gamma_urn,
     sample_graph,
@@ -35,6 +40,22 @@ def test_sim_config_validation():
     with pytest.raises(DomainError):
         SimConfig(params=p, path="urn")  # urn is exact only at sigma = 0
     SimConfig(params=GgpParams(1, 0.0, 1), path="urn")
+    for seed in (2.5, -1, 2**128):
+        with pytest.raises(DomainError):
+            SimConfig(params=p, seed=seed)
+    assert SimConfig(params=p, seed=np.int64(3)).seed == 3
+    assert simulate.SIM_PATHS == ("truncated", "urn", "kallenberg")
+
+
+@pytest.mark.parametrize("path,p", [
+    ("urn", GgpParams(20, 0.0, 1.0)),
+    ("kallenberg", GgpParams(20, 0.5, 1.0)),
+])
+def test_undirected_ggp_draws_only_the_truncated_path(path, p):
+    # only the truncated path has its ground truth, so a truncated draw
+    # must not stand in for another path's
+    with pytest.raises(DomainError):
+        sample_undirected_ggp(SimConfig(params=p, truncation_eps=1e-3, path=path))
 
 
 def test_truncated_crm_atom_count_mean():
@@ -290,23 +311,25 @@ def test_gamma_urn_validation():
 
 
 def test_compound_poisson_graph_matches_gamma_quantile():
-    u = np.array([0.01, 0.3, 0.5, 0.9, 0.999])
-    np.testing.assert_allclose(gamma_weight_quantile(-0.5, 2.0)(u),
-                               gamma.ppf(u, 0.5, scale=0.5), rtol=1e-10)
-    with pytest.raises(DomainError):
-        gamma_weight_quantile(0.5, 1.0)
-    with pytest.raises(DomainError):
-        sample_graph(SimConfig(params=GgpParams(20, 0.5, 1.0), path="compound-poisson"))
-
-
-def test_kallenberg_requires_infinite_activity():
-    with pytest.raises(DomainError):
-        sample_kallenberg(GgpParams(1, -0.5, 1.0), 1e-3, rng_stream(0, 0))
+    # for sigma < 0 the Kallenberg marks are the Poisson(alpha rhobar(0+))
+    # jumps of a compound Poisson process, Gamma(-sigma, tau) quantiles of
+    # uniforms; replay that draw through scipy's quantile on the same stream
+    p = GgpParams(20, -0.5, 2.0)
+    z = sample_kallenberg(p, 1e-3, rng_stream(5, 0))
+    rng = rng_stream(5, 0)
+    u = rng.uniform(size=rng.poisson(p.alpha * total_tail_mass(p)))
+    ei, ej = _bernoulli_pair_edges(gamma.ppf(u, 0.5, scale=0.5), rng)
+    ref = compact_graph(ei, ej)[0]
+    assert z.n_nodes == ref.n_nodes > 10
+    np.testing.assert_array_equal(z.edge_i, ref.edge_i)
+    np.testing.assert_array_equal(z.edge_j, ref.edge_j)
 
 
 def test_kallenberg_no_isolated_nodes():
     z = sample_kallenberg(GgpParams(20, 0.5, 1.0), 1e-3, rng_stream(13, 0))
     assert np.all(z.degree >= 1)
+    with pytest.raises(DomainError):
+        sample_kallenberg(GgpParams(20, 0.5, 1.0), 0.0, rng_stream(13, 0))
 
 
 def test_sample_graph_dispatch():
@@ -314,7 +337,7 @@ def test_sample_graph_dispatch():
         ("truncated", GgpParams(20, 0.5, 1.0)),
         ("urn", GgpParams(20, 0.0, 1.0)),
         ("kallenberg", GgpParams(20, 0.5, 1.0)),
-        ("compound-poisson", GgpParams(20, -1.0, 1.0)),
+        ("kallenberg", GgpParams(20, -1.0, 1.0)),
     ]:
         cfg = SimConfig(params=p, truncation_eps=1e-3, seed=3, path=path)
         z = sample_graph(cfg)
@@ -325,7 +348,7 @@ def test_sample_graph_dispatch():
     ("truncated", GgpParams(20, 0.5, 1.0)),
     ("urn", GgpParams(20, 0.0, 1.0)),
     ("kallenberg", GgpParams(20, 0.5, 1.0)),
-    ("compound-poisson", GgpParams(20, -1.0, 1.0)),
+    ("kallenberg", GgpParams(20, -1.0, 1.0)),
 ])
 def test_every_path_drops_self_loops_when_asked(path, p):
     kept = sample_graph(SimConfig(params=p, truncation_eps=1e-3, seed=3, path=path))
@@ -347,11 +370,12 @@ def test_import_does_not_load_scipy_stats():
 @pytest.mark.parametrize("sigma,tau", [(-0.5, 1.0), (-1.0, 0.5)])
 def test_compound_poisson_path_matches_truncated_path(sigma, tau):
     # Both paths draw Poisson(alpha tau^sigma / -sigma) Gamma(-sigma, tau)
-    # jumps and keep only nodes with an edge. Per-graph counts are compared,
-    # not pooled degrees, which are correlated within one graph.
+    # jumps (on the Kallenberg path, its sigma < 0 case) and keep only nodes
+    # with an edge. Per-graph counts are compared, not pooled degrees, which
+    # are correlated within one graph.
     p = GgpParams(20.0, sigma, tau)
     counts = []
-    for stream, path in enumerate(("truncated", "compound-poisson")):
+    for stream, path in enumerate(("truncated", "kallenberg")):
         cfg = SimConfig(params=p, truncation_eps=1e-6, path=path)
         rng = rng_stream(31, stream)
         zs = [sample_graph(cfg, rng) for _ in range(500)]
