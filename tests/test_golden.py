@@ -20,6 +20,7 @@ from crmgraph.totalmass import sample_truncated_poisson
 RUN_CHAIN_SHA256 = "8435b657e28a03b9c450e81c611cef697461ecef9017776c758497f31604fcf8"
 SAMPLE_GRAPH_SHA256 = "b3f65d4d61d31ac61b40ea96f375c62d1f30e9e0eb088e432702f6ac1a1cd749"
 TRUNCATED_POISSON_SHA256 = "049764308a3e09e11394c0990c7a95362619b6ebdb8eccaff544f037832af984"
+CHAIN_LIKE_POISSON_SHA256 = "9820943be91fd7445382c5374b3e7e967d27d211a8335c1fb3c2f9f276dc2244"
 # pinned on the compound-Poisson path that the sigma < 0 Kallenberg path replaced
 FINITE_ACTIVITY_SHA256 = "db3152126700f457f64fd877eeb07ceb972d9045e6ca2211de550ac06a82cda6"
 
@@ -82,3 +83,14 @@ def test_truncated_poisson_digest():
     h = hashlib.sha256()
     _update(h, x, np.int64)
     assert h.hexdigest() == TRUNCATED_POISSON_SHA256
+
+
+def test_truncated_poisson_chain_like_digest():
+    # rates spread like a fit's latent rates, from 3e-8 to about 150: most
+    # draws are X = 1, and about 6% of rates are past the inversion limit
+    g = rng_stream(5, 0)
+    rate = g.exponential(size=200_000) * 10.0 ** g.uniform(-3.0, 1.3, size=200_000)
+    x = sample_truncated_poisson(rate, rng_stream(5, 1))
+    h = hashlib.sha256()
+    _update(h, x, np.int64)
+    assert h.hexdigest() == CHAIN_LIKE_POISSON_SHA256
