@@ -19,6 +19,7 @@ from .diagnostics import (
     psrf,
     scaling_experiment,
     sparsity_test,
+    stalled_hmc_warnings,
 )
 from .errors import CrmGraphError
 from .graphio import (
@@ -132,7 +133,10 @@ def _fit(args):
         thin=args.thin,
         seed=args.seed,
     )
-    return graph, run_chains(graph, cfg)
+    traces = run_chains(graph, cfg)
+    for message in stalled_hmc_warnings(traces):
+        print(f"warning: {message}", file=sys.stderr)
+    return graph, traces
 
 
 def _cmd_fit(args):

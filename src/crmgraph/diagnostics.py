@@ -20,6 +20,9 @@ from .simulate import (
     sample_undirected_ggp,
 )
 
+# post-adaptation HMC acceptance below which a chain is reported as stalled
+MIN_HMC_ACCEPT = 0.05
+
 
 @dataclass(frozen=True)
 class PsrfReport:
@@ -100,23 +103,45 @@ def credible_interval(trace, level):
     return float(lo), float(hi)
 
 
+def stalled_hmc_warnings(traces):
+    """One message per chain whose HMC accepted fewer than MIN_HMC_ACCEPT of
+    its post-adaptation proposals.
+
+    A stepsize adapted toward a low target_accept can freeze where HMC
+    stops accepting, and the log-weights then never move after burn-in.
+    Chains without kept draws or acceptance rates (a trace read back from
+    CSV has none) are skipped.
+    """
+    out = []
+    for t in traces:
+        rate = t.accept_rates.get("hmc_post_adapt")
+        if len(t) and rate is not None and rate < MIN_HMC_ACCEPT:
+            out.append(f"chain {t.chain_id}: post-adaptation HMC acceptance {rate:.3f} is "
+                       f"below {MIN_HMC_ACCEPT}; the log-weights have stalled")
+    return out
+
+
 def sparsity_test(traces):
-    """Pr(sigma >= 0 | data) from pooled kept draws, with a 99% CI for sigma."""
+    """Pr(sigma >= 0 | data) from pooled kept draws, with a 99% CI for sigma.
+
+    The warning, if any, names chains that may not have mixed: a PSRF of
+    sigma above 1.1, or a stalled HMC block (stalled_hmc_warnings).
+    """
     if sum(len(t) for t in traces) == 0:
         raise TooFewSamplesError("sparsity test requires kept draws")
     sigma = np.concatenate([np.asarray(t["sigma"], dtype=float) for t in traces])
     p_sparse = float(np.mean(sigma >= 0.0))
     ci = credible_interval(sigma, 0.99)
-    max_r, warning = None, None
+    max_r, messages = None, stalled_hmc_warnings(traces)
     if len(traces) >= 2:
         try:
             max_r = psrf(traces, params=("sigma",)).max_psrf
             if max_r > 1.1:
-                warning = f"max PSRF {max_r:.3f} exceeds 1.1; chains may not have mixed"
+                messages.insert(0, f"max PSRF {max_r:.3f} exceeds 1.1; chains may not have mixed")
         except TooFewSamplesError:
             pass
     return SparsityTestResult(p_sparse=p_sparse, ci_sigma=ci, max_psrf=max_r,
-                              warning=warning)
+                              warning="; ".join(messages) or None)
 
 
 def degree_bins(max_degree):

@@ -20,6 +20,9 @@ _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 # sample_truncated_poisson inverts the CDF at rates up to this; above it
 # the inversion would take about lam passes.
 _INVERSION_MAX_RATE = 10.0
+# sample_truncated_poisson settles a draw as X = 1 without expm1 when its
+# uniform lies this far below 1 - rate/2; see its docstring
+_SURE_ONE_MARGIN = 2.0**-40
 
 
 def _log_stable_std(rng, alpha):
@@ -182,44 +185,68 @@ def sample_tilted_total_mass(params, tilt, rng):
     return sample_total_mass(params.with_tilt(tilt), rng)
 
 
+def _sure_one_bound(rate):
+    """1 - rate/2 - _SURE_ONE_MARGIN, a lower bound on P(X = 1) = _p_one(rate)."""
+    t = np.multiply(rate, -0.5)         # 1 - rate/2 - margin, rounded as written
+    t += 1.0
+    t -= _SURE_ONE_MARGIN
+    return t
+
+
+def _p_one(rate):
+    """P(X = 1) = lam / expm1(lam) of the zero-truncated Poisson law."""
+    return rate / np.expm1(rate)
+
+
 def sample_truncated_poisson(rate, rng):
     """Zero-truncated Poisson draws, exact at every rate, one uniform per rate.
 
     P(X = k) = lam^k / (k! (e^lam - 1)) for k >= 1. Each draw takes one
-    uniform u and splits on its rate before using it:
+    uniform u and inverts the CDF, so X = 1 exactly when
+    u < p_1 = lam / expm1(lam).
 
-    - lam <= _INVERSION_MAX_RATE: invert the CDF. X = 1 when
-      u < p_1 = lam / expm1(lam), which settles most draws at the small
-      rates of a sparse graph's latent counts in one vectorised compare.
-      Only the draws still undecided take the next term,
-      p_k = p_{k-1} lam / k, so each pass runs on a shrinking index set.
-      A pass whose term has underflowed to 0 ends a draw (it can happen
-      only for u within rounding of 1).
+    Most draws at a sparse graph's small latent rates are settled by a
+    squeeze (Devroye 1986, ch. II.5) before p_1 is computed. Since
+    e^x - 1 < x / (1 - x/2) for 0 < x < 2, p_1 > 1 - lam/2 at every
+    lam > 0 (for lam >= 2 the bound is <= 0). A draw with
+    u < t = 1 - lam/2 - _SURE_ONE_MARGIN is therefore X = 1. The margin
+    is far wider than the few ulps by which the rounded expm1 and divide
+    can stray, so the squeeze never decides a draw that the exact compare
+    would decide otherwise, and the output is the same bit for bit as
+    with the compare alone. The draws with u >= t, the candidates, go on
+    by rate:
+
+    - lam <= _INVERSION_MAX_RATE: X = 1 when u < p_1. Only the draws
+      still undecided take the next term, p_k = p_{k-1} lam / k, so each
+      pass runs on a shrinking index set. A pass whose term has
+      underflowed to 0 ends a draw (it can happen only for u within
+      rounding of 1).
     - lam > _INVERSION_MAX_RATE: the number of inversion passes grows like
       lam, so these draws keep the one-pass form. X is one plus the
       arrivals of a unit-rate Poisson process on (T, lam], where T is its
       first arrival conditioned on T < lam: T = -log1p(u expm1(-lam)), and
       X = 1 + Poisson(lam - T).
 
-    Splitting first matters: applying the u < p_1 shortcut to the large
-    rates too and drawing the rest by the one-pass form would double
-    P(X = 1) there.
+    Every rate above _INVERSION_MAX_RATE has t < 0, so it is always a
+    candidate, and all of these draws take the one-pass form. Splitting
+    them off before the u < p_1 compare matters: applying that shortcut
+    to the large rates too and drawing the rest by the one-pass form
+    would double P(X = 1) there.
     """
     scalar = np.isscalar(rate)
     rate = np.atleast_1d(np.asarray(rate, dtype=float))
     if rate.size and not (rate.min() > 0.0 and np.isfinite(rate.max())):
         raise DomainError("truncated Poisson requires a finite rate > 0")
-    u = rng.uniform(size=rate.shape)
+    u = rng.random(rate.shape)
     out = np.ones(rate.shape, dtype=np.int64)
-    big = np.flatnonzero(rate > _INVERSION_MAX_RATE)
-    with np.errstate(over="ignore"):    # expm1 is inf above ~709; those rates are big
-        p = rate / np.expm1(rate)
-    idx = np.flatnonzero(u >= p)
+    idx = np.flatnonzero(u >= _sure_one_bound(rate))
     lam = rate[idx]
     small = lam <= _INVERSION_MAX_RATE
-    idx, lam = idx[small], lam[small]
-    p = p[idx]
+    big, idx, lam = idx[~small], idx[small], lam[small]
+    p = _p_one(lam)
     left = u[idx] - p                   # u - P(X <= k), >= 0 while undecided
+    go_on = left >= 0.0
+    idx, lam, p, left = idx[go_on], lam[go_on], p[go_on], left[go_on]
     k = 1
     while idx.size:
         k += 1

@@ -108,6 +108,18 @@ def test_fit_writes_trace(small_graph, tmp_path, capsys):
     assert n_rows == 2 * 150  # burn-in of n_iter/4 discarded per chain
 
 
+@pytest.mark.parametrize("target,n_warnings", [("0.3", 1), ("0.6", 0)])
+def test_fit_warns_once_per_stalled_chain(tmp_path, capsys, target, n_warnings):
+    graph = str(tmp_path / "g.txt")
+    assert run(["sample", "--alpha", "20", "--sigma", "0.5", "--tau", "1",
+                "--eps", "1e-3", "--seed", "6", "--out", graph]) == 0
+    assert run(["fit", graph, "--n-iter", "200", "--n-chains", "1", "--seed", "2",
+                "--target-accept", target, "--out", str(tmp_path / "t.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("warning: chain 0: ") for line in err) == n_warnings
+    assert len(err) == n_warnings
+
+
 def test_fit_golden_reproducible(small_graph, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (a, b):

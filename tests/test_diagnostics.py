@@ -12,11 +12,12 @@ from crmgraph.diagnostics import (
     psrf,
     scaling_experiment,
     sparsity_test,
+    stalled_hmc_warnings,
 )
 from crmgraph.errors import DomainError, TooFewChainsError, TooFewSamplesError
-from crmgraph.inference import ChainTrace
+from crmgraph.inference import ChainTrace, McmcConfig, run_chain
 from crmgraph.params import GgpParams
-from crmgraph.simulate import SimConfig
+from crmgraph.simulate import SimConfig, sample_undirected_ggp
 
 
 def make_trace(chain_id=0, n=100, seed=0, shift=0.0, scale=1.0):
@@ -144,6 +145,36 @@ def test_sparsity_test_warns_on_bad_mixing():
     res = sparsity_test([t1, t2])
     assert res.max_psrf > 1.1
     assert res.warning is not None
+
+
+@pytest.mark.parametrize("target,stalled", [(0.3, True), (0.6, False)])
+def test_sparsity_test_warns_on_stalled_hmc(target, stalled):
+    # dual averaging toward 0.3 freezes a stepsize at which HMC accepts
+    # almost nothing after adaptation; the default target does not
+    z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.5, 1.0), 1e-3, seed=6))
+    trace = run_chain(z, McmcConfig(n_iter=400, seed=2, target_accept=target))
+    assert (trace.accept_rates["hmc_post_adapt"] < 0.05) == stalled
+    res = sparsity_test([trace])
+    assert res.max_psrf is None
+    if stalled:
+        assert res.warning == stalled_hmc_warnings([trace])[0]
+        assert res.warning.startswith("chain 0: post-adaptation HMC acceptance")
+    else:
+        assert res.warning is None
+
+
+def test_stalled_hmc_warnings_skip_traces_without_rates():
+    # traces read back from CSV carry no acceptance rates
+    t = make_trace(n=300)
+    assert t.accept_rates == {}
+    assert stalled_hmc_warnings([t]) == []
+    stalled = make_trace(n=300, chain_id=4)
+    stalled.accept_rates["hmc_post_adapt"] = 0.0
+    empty = make_trace(n=0, chain_id=5)
+    empty.accept_rates["hmc_post_adapt"] = 0.0
+    assert len(stalled_hmc_warnings([t, stalled, empty])) == 1
+    res = sparsity_test([t, stalled])
+    assert res.warning == stalled_hmc_warnings([stalled])[0]
 
 
 def test_powerlaw_fraction_values():

@@ -12,6 +12,9 @@ from crmgraph.levy import laplace_exponent
 from crmgraph.params import GgpParams, rng_stream
 from crmgraph.totalmass import (
     _INVERSION_MAX_RATE,
+    _SURE_ONE_MARGIN,
+    _p_one,
+    _sure_one_bound,
     sample_tilted_total_mass,
     sample_total_mass,
     sample_truncated_poisson,
@@ -239,6 +242,21 @@ def test_truncated_poisson_one_just_above_split():
     assert abs(np.mean(x == 1) - p1) <= 5.0 * se
 
 
+def test_sure_one_bound_is_below_p_one():
+    # the squeeze that settles X = 1 without expm1 must never decide a draw
+    # that the exact u < lam/expm1(lam) compare decides otherwise
+    edges = [np.nextafter(x, d) for x in (2.0, _INVERSION_MAX_RATE) for d in (0.0, np.inf)]
+    lam = np.unique(np.concatenate([
+        np.geomspace(5e-324, 30.0, 2_000_001),
+        np.linspace(0.0, 30.0, 2_000_001)[1:],
+        [5e-324, 2.0, _INVERSION_MAX_RATE, 30.0], edges,
+    ]))
+    t = _sure_one_bound(lam)
+    np.testing.assert_array_equal(t, 1.0 - 0.5 * lam - _SURE_ONE_MARGIN)
+    assert np.all(t < _p_one(lam))
+    assert np.all(t[lam > _INVERSION_MAX_RATE] < 0.0)   # big rates are always candidates
+
+
 class _LastUniform:
     """Generator whose uniforms are all the largest double below 1."""
 
@@ -247,6 +265,8 @@ class _LastUniform:
 
     def uniform(self, size=None):
         return np.full(size, np.nextafter(1.0, 0.0))
+
+    random = uniform
 
     def poisson(self, lam):
         return self._rng.poisson(lam)
