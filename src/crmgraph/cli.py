@@ -6,7 +6,7 @@ Subcommands: sample, fit, test-sparsity, ppc, scaling, diag. Exit codes:
 
 import argparse
 import csv
-import json
+import dataclasses
 import sys
 import time
 
@@ -31,7 +31,7 @@ from .graphio import (
 )
 from .inference import PARAM_FIELDS, McmcConfig, run_chains
 from .params import GgpParams
-from .simulate import SIM_PATHS, SimConfig, sample_graph
+from .simulate import DEFAULT_EPS, SIM_PATHS, SimConfig, sample_graph
 
 
 def _add_model_args(p):
@@ -43,16 +43,18 @@ def _add_model_args(p):
 def _add_fit_args(p):
     p.add_argument("graph", help="edge-list file to fit")
     p.add_argument("--n-iter", type=int, default=20000)
-    p.add_argument("--n-chains", type=int, default=3)
-    p.add_argument("--leapfrog-steps", type=int, default=10)
-    p.add_argument("--target-accept", type=float, default=0.6)
-    p.add_argument("--adapt-iters", type=int, default=None)
-    p.add_argument("--rw-sd", type=float, default=0.02)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-chains", type=int)
+    p.add_argument("--leapfrog-steps", type=int)
+    p.add_argument("--target-accept", type=float)
+    p.add_argument("--adapt-iters", type=int)
+    p.add_argument("--rw-sd", type=float)
+    p.add_argument("--thin", type=int)
+    p.add_argument("--seed", type=int)
 
 
 def build_parser():
+    """A sample, fit or test-sparsity flag not given for a SimConfig or McmcConfig
+    field is absent from the namespace (SUPPRESS), so the config's default applies."""
     parser = argparse.ArgumentParser(
         prog="crmgraph",
         description="Sparse random graphs from completely random measures",
@@ -60,19 +62,22 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="draw a graph and write an edge list")
+    p = sub.add_parser("sample", help="draw a graph and write an edge list",
+                       argument_default=argparse.SUPPRESS)
     _add_model_args(p)
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--path", choices=SIM_PATHS, default="truncated")
-    p.add_argument("--no-self-loops", action="store_true")
+    p.add_argument("--eps", type=float, dest="truncation_eps", metavar="EPS")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--path", choices=SIM_PATHS)
+    p.add_argument("--no-self-loops", action="store_false", dest="include_self_loops")
     p.add_argument("--out", default="graph.txt")
 
-    p = sub.add_parser("fit", help="run MCMC on an edge-list graph")
+    p = sub.add_parser("fit", help="run MCMC on an edge-list graph",
+                       argument_default=argparse.SUPPRESS)
     _add_fit_args(p)
     p.add_argument("--out", default="trace.csv")
 
-    p = sub.add_parser("test-sparsity", help="fit, then report Pr(sigma >= 0 | data)")
+    p = sub.add_parser("test-sparsity", help="fit, then report Pr(sigma >= 0 | data)",
+                       argument_default=argparse.SUPPRESS)
     _add_fit_args(p)
     p.add_argument("--out", default="sparsity.json")
     p.add_argument("--trace-out", default=None)
@@ -81,7 +86,7 @@ def build_parser():
     p.add_argument("trace", help="trace CSV from fit")
     p.add_argument("--graph", default=None, help="observed edge list for overlay")
     p.add_argument("--n-draws", type=int, default=200)
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="ppc.csv")
 
@@ -90,7 +95,7 @@ def build_parser():
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--alpha-grid", type=float, nargs="+", required=True)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", default="scaling.csv")
 
     p = sub.add_parser("diag", help="PSRF and credible intervals from stored traces")
@@ -100,20 +105,28 @@ def build_parser():
     return parser
 
 
+def _config(cls, args, **fields):
+    """cls from the flags given for its fields, plus fields; cls's defaults fill the rest."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **fields)
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
 def _cmd_sample(args):
-    cfg = SimConfig(
-        params=GgpParams(args.alpha, args.sigma, args.tau),
-        truncation_eps=args.eps,
-        seed=args.seed,
-        path=args.path,
-        include_self_loops=not args.no_self_loops,
-    )
+    params = GgpParams(args.alpha, args.sigma, args.tau)
+    cfg = _config(SimConfig, args, params=params)
     z = sample_graph(cfg)
-    write_edge_list(z, args.out, header=f"crmgraph sample seed={args.seed}")
+    write_edge_list(z, args.out, header=f"crmgraph sample seed={cfg.seed}")
     write_sidecar(args.out + ".json", {
-        "alpha": args.alpha, "sigma": args.sigma, "tau": args.tau,
-        "eps": args.eps, "seed": args.seed, "path": args.path,
-        "include_self_loops": not args.no_self_loops,
+        "alpha": params.alpha, "sigma": params.sigma, "tau": params.tau,
+        "eps": cfg.truncation_eps, "seed": cfg.seed, "path": cfg.path,
+        "include_self_loops": cfg.include_self_loops,
         "n_nodes": z.n_nodes, "n_edges": z.n_edges,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     })
@@ -122,25 +135,15 @@ def _cmd_sample(args):
 
 
 def _fit(args):
-    graph = read_edge_list(args.graph).graph
-    cfg = McmcConfig(
-        n_iter=args.n_iter,
-        n_chains=args.n_chains,
-        leapfrog_steps=args.leapfrog_steps,
-        target_accept=args.target_accept,
-        adapt_iters=args.adapt_iters,
-        rw_sd=args.rw_sd,
-        thin=args.thin,
-        seed=args.seed,
-    )
-    traces = run_chains(graph, cfg)
+    cfg = _config(McmcConfig, args)            # a bad setting is reported before the graph is read
+    traces = run_chains(read_edge_list(args.graph).graph, cfg)
     for message in stalled_hmc_warnings(traces):
         print(f"warning: {message}", file=sys.stderr)
-    return graph, traces
+    return traces
 
 
 def _cmd_fit(args):
-    _, traces = _fit(args)
+    traces = _fit(args)
     write_trace_csv(traces, args.out)
     print(f"wrote {sum(len(t) for t in traces)} kept samples to {args.out}")
     return 0
@@ -148,12 +151,11 @@ def _cmd_fit(args):
 
 def _cmd_test_sparsity(args):
     start = time.time()
-    _, traces = _fit(args)
+    traces = _fit(args)
     if args.trace_out:
         write_trace_csv(traces, args.trace_out)
     result = sparsity_test(traces)
     doc = {
-        "schema_version": 1,
         "p_sparse": result.p_sparse,
         "ci_sigma": list(result.ci_sigma),
         "max_psrf": result.max_psrf,
@@ -161,9 +163,7 @@ def _cmd_test_sparsity(args):
     }
     if result.warning:
         doc["warning"] = result.warning
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_sidecar(args.out, doc)
     print(f"p_sparse={result.p_sparse:.4f} ci_sigma=({result.ci_sigma[0]:.4f}, "
           f"{result.ci_sigma[1]:.4f})")
     return 0
@@ -175,19 +175,13 @@ def _cmd_ppc(args):
     bands = posterior_predictive_degrees(
         traces, args.n_draws, args.eps, observed=observed, seed=args.seed
     )
-    with open(args.out, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        cols = ["degree_bin", "lo", "median", "hi"]
-        has_obs = "observed" in bands
-        wr.writerow(cols + (["observed"] if has_obs else []))
-        for b in range(len(bands["bin_lo"])):
-            label = (f"{bands['bin_lo'][b]}" if bands["bin_lo"][b] == bands["bin_hi"][b]
-                     else f"{bands['bin_lo'][b]}-{bands['bin_hi'][b]}")
-            row = [label, bands["lo"][b], bands["median"][b], bands["hi"][b]]
-            if has_obs:
-                row.append(bands["observed"][b])
-            wr.writerow(row)
-    print(f"wrote {len(bands['bin_lo'])} degree bins to {args.out}")
+    extra = ["observed"] if "observed" in bands else []
+    rows = []
+    for b, (lo, hi) in enumerate(zip(bands["bin_lo"], bands["bin_hi"])):
+        label = f"{lo}" if lo == hi else f"{lo}-{hi}"
+        rows.append([label] + [bands[k][b] for k in ["lo", "median", "hi", *extra]])
+    _write_csv(args.out, ["degree_bin", "lo", "median", "hi", *extra], rows)
+    print(f"wrote {len(rows)} degree bins to {args.out}")
     return 0
 
 
@@ -195,11 +189,7 @@ def _cmd_scaling(args):
     rows, slope = scaling_experiment(
         args.sigma, args.tau, args.alpha_grid, args.seeds, eps=args.eps
     )
-    with open(args.out, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["alpha", "seed", "n_nodes", "n_edges"])
-        for r in rows:
-            wr.writerow(r)
+    _write_csv(args.out, ["alpha", "seed", "n_nodes", "n_edges"], rows)
     print(f"slope={slope:.4f}")
     return 0
 
@@ -216,11 +206,8 @@ def _cmd_diag(args):
         lo, hi = credible_interval(samples, args.level)
         print(f"ci[{name}]=({lo:.6f}, {hi:.6f})")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["param", "psrf"])
-            for name, val in report.psrf.items():
-                wr.writerow([name, f"{val:.17g}"])
+        _write_csv(args.out, ["param", "psrf"],
+                   [[name, f"{val:.17g}"] for name, val in report.psrf.items()])
     return 0
 
 

@@ -14,6 +14,7 @@ from .graphs import multigraph_degree_fractions
 from .inference import PARAM_FIELDS
 from .params import GgpParams, rng_stream
 from .simulate import (
+    DEFAULT_EPS,
     SimConfig,
     sample_crm_truncated,
     sample_directed_conditional,
@@ -110,7 +111,8 @@ def stalled_hmc_warnings(traces):
     A stepsize adapted toward a low target_accept can freeze where HMC
     stops accepting, and the log-weights then never move after burn-in.
     Chains without kept draws or acceptance rates (a trace read back from
-    CSV has none) are skipped.
+    CSV has none) are skipped, and so is a NaN rate (no post-adaptation
+    iterations).
     """
     out = []
     for t in traces:
@@ -192,7 +194,7 @@ def posterior_predictive_degrees(traces, n_draws, eps, observed=None, seed=0):
 
     rng = rng_stream(seed, 10_000)
     idx = rng.integers(0, len(alpha), size=n_draws)
-    graphs = []
+    degrees = []                    # not the graphs, which are about 12x larger
     max_deg = 1
     for t, i in enumerate(idx):
         cfg = SimConfig(
@@ -201,14 +203,14 @@ def posterior_predictive_degrees(traces, n_draws, eps, observed=None, seed=0):
             seed=seed,
         )
         z, _ = sample_undirected_ggp(cfg, rng=rng_stream(seed, 10_001 + t))
-        graphs.append(z)
+        degrees.append(z.degree)
         if z.n_nodes:
             max_deg = max(max_deg, int(z.degree.max()))
     if observed is not None and observed.n_nodes:
         max_deg = max(max_deg, int(observed.degree.max()))
 
     lo, hi = degree_bins(max_deg)
-    counts = np.stack([_binned_degree_counts(z.degree, lo, hi) for z in graphs])
+    counts = np.stack([_binned_degree_counts(d, lo, hi) for d in degrees])
     q_lo, q_med, q_hi = np.quantile(counts, [0.025, 0.5, 0.975], axis=0)
     out = {
         "bin_lo": lo,
@@ -229,7 +231,7 @@ def fit_loglog_slope(n_nodes, n_edges):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def scaling_experiment(sigma, tau, alpha_grid, seeds, eps=1e-6):
+def scaling_experiment(sigma, tau, alpha_grid, seeds, eps=DEFAULT_EPS):
     """Edge growth against node growth along an alpha grid.
 
     Returns rows (alpha, seed, n_nodes, n_edges) and the OLS slope of
@@ -268,7 +270,7 @@ def powerlaw_fraction(sigma, j):
     )
 
 
-def powerlaw_check(sigma, tau, alpha, seeds, j_max, eps=1e-6):
+def powerlaw_check(sigma, tau, alpha, seeds, j_max, eps=DEFAULT_EPS):
     """Empirical multigraph degree fractions against p_{sigma,j}.
 
     Returns rows (j, empirical mean fraction, theoretical, absolute gap).

@@ -113,11 +113,15 @@ def read_trace_csv(path):
                 f"bad trace header {header!r}; expected {TRACE_HEADER!r}"
             )
         by_chain = {}
-        for row in rd:
+        for rowno, row in enumerate(rd, start=2):
             if len(row) != len(TRACE_HEADER):
-                raise SchemaError(f"row has {len(row)} fields, expected {len(TRACE_HEADER)}")
-            chain = int(row[1])
-            by_chain.setdefault(chain, []).append([float(x) for x in row[2:]])
+                raise SchemaError(f"row {rowno} has {len(row)} fields, "
+                                  f"expected {len(TRACE_HEADER)}")
+            try:
+                by_chain.setdefault(int(row[1]), []).append([float(x) for x in row[2:]])
+            except ValueError:
+                raise SchemaError(f"row {rowno}: non-integer chain id or non-numeric "
+                                  f"field in {row!r}") from None
     traces = []
     for chain in sorted(by_chain):
         mat = np.asarray(by_chain[chain], dtype=float)

@@ -68,6 +68,8 @@ class McmcConfig:
             self.adapt_iters = self.n_iter // 4
         if self.adapt_iters < 0:
             raise DomainError(f"adapt_iters must be >= 0, got {self.adapt_iters}")
+        if self.omega_record_stride < 0:
+            raise DomainError(f"omega_record_stride must be >= 0, got {self.omega_record_stride}")
         check_seed(self.seed)
 
 
@@ -345,8 +347,9 @@ def run_chain(graph, config, chain_id=0):
             if stride and kept.index(it) % stride == 0:
                 omega_snaps.append(state.omega.copy())
 
-    rates = accepted.sum(axis=0) / max(config.n_iter, 1)
-    post = accepted[burn:].sum(axis=0) / max(config.n_iter - burn, 1)
+    with np.errstate(invalid="ignore"):     # an empty window has no rate: 0/0 is NaN
+        rates = accepted.sum(axis=0) / config.n_iter
+        post = accepted[burn:].sum(axis=0) / (config.n_iter - burn)
     return ChainTrace(
         records={k: np.asarray(v) for k, v in recs.items()},
         omega=np.asarray(omega_snaps) if omega_snaps else None,

@@ -1,9 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from crmgraph.cli import cli_dispatch
+from crmgraph import __version__
+from crmgraph.cli import cli_dispatch, main
 
 
 def run(argv):
@@ -48,9 +50,10 @@ def test_invalid_params_exit_1(tmp_path, capsys):
     ["fit", "{graph}", "--n-iter", "20", "--seed", "-1"],
     ["fit", "{graph}", "--n-iter", "20", "--leapfrog-steps", "0"],
     ["fit", "{graph}", "--n-iter", "20", "--target-accept", "1"],
+    ["diag", "{bad_trace}"],
 ], ids=["n-chains-0", "negative-adapt-iters", "ppc-of-empty-trace", "scaling-empty-graphs",
         "rw-sd-nan", "rw-sd-negative", "scaling-one-distinct-alpha", "sample-negative-seed",
-        "fit-negative-seed", "leapfrog-steps-0", "target-accept-1"])
+        "fit-negative-seed", "leapfrog-steps-0", "target-accept-1", "diag-non-numeric-trace"])
 def test_bad_run_settings_exit_1(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     graph = tmp_path / "g.txt"
@@ -58,9 +61,26 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, monkeypatch, argv):
     empty_trace = str(tmp_path / "empty.csv")
     assert run(["fit", str(graph), "--n-iter", "0", "--out", empty_trace]) == 0
     capsys.readouterr()
-    argv = [a.format(graph=graph, empty_trace=empty_trace) for a in argv]
+    bad_trace = tmp_path / "bad.csv"
+    bad_trace.write_text("iteration,chain,alpha,sigma,tau,w_star,log_post\n"
+                         "0,0,1.0,0.5,1.0,0.1,abc\n")
+    argv = [a.format(graph=graph, empty_trace=empty_trace, bad_trace=bad_trace) for a in argv]
     assert run(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "test-sparsity"])
+def test_bad_setting_is_reported_before_the_missing_graph(tmp_path, capsys, command):
+    assert run([command, str(tmp_path / "nope.txt"), "--n-chains", "0"]) == 1
+    assert capsys.readouterr().err == "error: n_chains must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv,code", [(["--version"], 0), (["frobnicate"], 2)])
+def test_main_exit_code(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["crmgraph", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
 
 
 def test_sample_writes_graph_and_sidecar(tmp_path, capsys):
@@ -87,6 +107,21 @@ def test_sample_deterministic_golden(tmp_path):
     sa.pop("timestamp")
     sb.pop("timestamp")
     assert sa == sb
+
+
+def test_sample_no_self_loops(tmp_path, capsys):
+    argv = ["sample", "--alpha", "20", "--sigma", "0.5", "--tau", "1", "--eps", "1e-3",
+            "--seed", "6"]
+    edges = {}
+    for name, extra in [("all.txt", []), ("no_loops.txt", ["--no-self-loops"])]:
+        out = str(tmp_path / name)
+        assert run(argv + extra + ["--out", out]) == 0
+        edges[name] = [l.split() for l in Path(out).read_text().splitlines()
+                       if not l.startswith("#")]
+        assert json.loads(Path(out + ".json").read_text())["include_self_loops"] == (not extra)
+    # the default keeps self-loops, and this draw has some
+    assert any(i == j for i, j in edges["all.txt"])
+    assert edges["no_loops.txt"] and not any(i == j for i, j in edges["no_loops.txt"])
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +173,8 @@ def test_test_sparsity_json(small_graph, tmp_path, capsys):
     doc = json.loads(Path(out).read_text())
     for key in ("p_sparse", "ci_sigma", "max_psrf", "runtime"):
         assert key in doc
+    assert doc["schema_version"] == 1 and doc["library_version"] == __version__
+    assert list(doc) == sorted(doc)
     assert 0.0 <= doc["p_sparse"] <= 1.0
     assert doc["ci_sigma"][0] <= doc["ci_sigma"][1]
 
@@ -157,6 +194,23 @@ def test_diag_and_ppc_from_trace(small_graph, tmp_path, capsys):
     assert run(["ppc", trace, "--graph", small_graph, "--n-draws", "20",
                 "--eps", "1e-3", "--out", ppc_out]) == 0
     assert first_line(ppc_out) == "degree_bin,lo,median,hi,observed"
+
+
+def test_diag_level_narrows_the_intervals(small_graph, tmp_path, capsys):
+    trace = str(tmp_path / "trace.csv")
+    assert run(["fit", small_graph, "--n-iter", "200", "--n-chains", "2",
+                "--seed", "1", "--out", trace]) == 0
+    intervals = {}
+    for level in ("0.95", "0.5"):
+        capsys.readouterr()
+        assert run(["diag", trace, "--level", level]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("ci[")]
+        intervals[level] = {name: tuple(map(float, bounds.strip("()").split(", ")))
+                            for name, bounds in (l.split("=") for l in lines)}
+    assert intervals["0.5"].keys() == intervals["0.95"].keys() and len(intervals["0.5"]) == 4
+    for name, (lo, hi) in intervals["0.5"].items():
+        wide_lo, wide_hi = intervals["0.95"][name]
+        assert wide_lo <= lo < hi <= wide_hi
 
 
 def test_scaling_cli(tmp_path, capsys):

@@ -177,6 +177,21 @@ def test_stalled_hmc_warnings_skip_traces_without_rates():
     assert res.warning == stalled_hmc_warnings([stalled])[0]
 
 
+def test_accept_rates_over_an_empty_window_are_nan():
+    # every iteration adapts, so no post-adaptation rate exists
+    z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.5, 1.0), 1e-3, seed=6))
+    trace = run_chain(z, McmcConfig(n_iter=40, adapt_iters=40, seed=2))
+    rates = trace.accept_rates
+    assert len(trace) == 0
+    assert np.isnan(rates["hmc_post_adapt"]) and np.isnan(rates["hyper_post_adapt"])
+    assert 0.0 < rates["hmc"] <= 1.0 and 0.0 <= rates["hyper"] <= 1.0
+    no_iterations = run_chain(z, McmcConfig(n_iter=0, seed=2)).accept_rates
+    assert len(no_iterations) == 4 and all(np.isnan(r) for r in no_iterations.values())
+    kept = make_trace(n=300)
+    kept.accept_rates["hmc_post_adapt"] = float("nan")
+    assert stalled_hmc_warnings([trace, kept]) == []
+
+
 def test_powerlaw_fraction_values():
     # sigma = 0.5: p_1 = sigma = 0.5, p_2 = 0.5 Gamma(1.5) / (Gamma(0.5) Gamma(3))
     assert powerlaw_fraction(0.5, 1) == pytest.approx(0.5, abs=1e-12)

@@ -277,6 +277,11 @@ def test_mcmc_config_rejects_non_integral_seed():
     assert McmcConfig(n_iter=1, seed=np.int64(4)).seed == 4
 
 
+def test_mcmc_config_rejects_negative_omega_record_stride():
+    with pytest.raises(DomainError):
+        McmcConfig(n_iter=1, omega_record_stride=-3)
+
+
 def test_leapfrog_steps_and_target_accept_drive_the_chain():
     z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.5, 1.0), 1e-3, seed=6))
     one_step = run_chain(z, McmcConfig(n_iter=30, leapfrog_steps=1, seed=2))

@@ -168,12 +168,19 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
         read_trace_csv(str(path))
 
 
-def test_trace_csv_rejects_ragged_rows(tmp_path):
+@pytest.mark.parametrize("row", [
+    "0,0,1.0,0.5",
+    "0,0,1.0,0.5,1.0,0.1,abc",
+    "0,0.5,1.0,0.5,1.0,0.1,-3.0",
+    "0,a,1.0,0.5,1.0,0.1,-3.0",
+], ids=["ragged", "non-numeric-field", "float-chain-id", "non-numeric-chain-id"])
+def test_trace_csv_rejects_ragged_rows(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(
-        "iteration,chain,alpha,sigma,tau,w_star,log_post\n0,0,1.0,0.5\n"
+        "iteration,chain,alpha,sigma,tau,w_star,log_post\n"
+        "0,0,1.0,0.5,1.0,0.1,-2.0\n" + row + "\n"
     )
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="row 3"):
         read_trace_csv(str(path))
 
 
