@@ -5,7 +5,6 @@ Subcommands: sample, fit, test-sparsity, ppc, scaling, diag. Exit codes:
 """
 
 import argparse
-import csv
 import dataclasses
 import sys
 import time
@@ -25,6 +24,7 @@ from .errors import CrmGraphError
 from .graphio import (
     read_edge_list,
     read_trace_csv,
+    write_csv,
     write_edge_list,
     write_sidecar,
     write_trace_csv,
@@ -111,13 +111,6 @@ def _config(cls, args, **fields):
     return cls(**{k: v for k, v in vars(args).items() if k in names}, **fields)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-
-
 def _cmd_sample(args):
     params = GgpParams(args.alpha, args.sigma, args.tau)
     cfg = _config(SimConfig, args, params=params)
@@ -180,7 +173,7 @@ def _cmd_ppc(args):
     for b, (lo, hi) in enumerate(zip(bands["bin_lo"], bands["bin_hi"])):
         label = f"{lo}" if lo == hi else f"{lo}-{hi}"
         rows.append([label] + [bands[k][b] for k in ["lo", "median", "hi", *extra]])
-    _write_csv(args.out, ["degree_bin", "lo", "median", "hi", *extra], rows)
+    write_csv(args.out, ["degree_bin", "lo", "median", "hi", *extra], rows)
     print(f"wrote {len(rows)} degree bins to {args.out}")
     return 0
 
@@ -189,7 +182,7 @@ def _cmd_scaling(args):
     rows, slope = scaling_experiment(
         args.sigma, args.tau, args.alpha_grid, args.seeds, eps=args.eps
     )
-    _write_csv(args.out, ["alpha", "seed", "n_nodes", "n_edges"], rows)
+    write_csv(args.out, ["alpha", "seed", "n_nodes", "n_edges"], rows)
     print(f"slope={slope:.4f}")
     return 0
 
@@ -206,8 +199,8 @@ def _cmd_diag(args):
         lo, hi = credible_interval(samples, args.level)
         print(f"ci[{name}]=({lo:.6f}, {hi:.6f})")
     if args.out:
-        _write_csv(args.out, ["param", "psrf"],
-                   [[name, f"{val:.17g}"] for name, val in report.psrf.items()])
+        write_csv(args.out, ["param", "psrf"],
+                  [[name, f"{val:.17g}"] for name, val in report.psrf.items()])
     return 0
 
 

@@ -19,27 +19,25 @@ WRITE_BLOCK_EDGES = 1 << 14
 @dataclass
 class IngestResult:
     graph: UndirectedGraph
-    id_map: dict                    # external id -> contiguous id, in id order
-    n_lines: int                    # edge lines read
+    ids: np.ndarray                 # node k has external id ids[k]; ids ascend
     n_duplicates: int               # edge lines merged into an earlier pair
 
 
 def _parse_lines(path):
-    pairs = []
+    """The two ids of each edge line in one flat list: line k's at 2k and 2k + 1."""
+    ends = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(COMMENT_PREFIXES):
+            fields = raw.split()
+            if not fields or fields[0].startswith(COMMENT_PREFIXES):
                 continue
-            fields = line.split()
             if len(fields) < 2:
-                raise ParseError(lineno, f"expected two ids, got {line!r}")
+                raise ParseError(lineno, f"expected two ids, got {raw.strip()!r}")
             try:
-                a, b = int(fields[0]), int(fields[1])
+                ends += int(fields[0]), int(fields[1])
             except ValueError:
-                raise ParseError(lineno, f"non-integer node id in {line!r}") from None
-            pairs.append((a, b))
-    return pairs
+                raise ParseError(lineno, f"non-integer node id in {raw.strip()!r}") from None
+    return ends
 
 
 def read_edge_list(path):
@@ -51,20 +49,18 @@ def read_edge_list(path):
     graph without isolated nodes written by write_edge_list reads back with
     the same node ids.
     """
-    pairs = _parse_lines(path)
-    if not pairs:
+    ends = _parse_lines(path)
+    if not ends:
         raise EmptyGraphError(f"no edges found in {path}")
 
     try:
-        pairs = np.asarray(pairs, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
     except OverflowError:
         # ids beyond int64 stay exact Python ints; numpy's own choice would
         # be float64 for ids in [2**63, 2**64), which merges neighbours
-        pairs = np.asarray(pairs, dtype=object)
-    graph, ids = compact_graph(pairs[:, 0], pairs[:, 1])
-    id_map = dict(zip(ids.tolist(), range(len(ids))))
-    return IngestResult(graph=graph, id_map=id_map, n_lines=len(pairs),
-                        n_duplicates=len(pairs) - graph.n_edges)
+        ends = np.asarray(ends, dtype=object)
+    graph, ids = compact_graph(ends[0::2], ends[1::2])
+    return IngestResult(graph=graph, ids=ids, n_duplicates=len(ends) // 2 - graph.n_edges)
 
 
 def write_edge_list(graph, path, header=None):
@@ -83,28 +79,27 @@ def write_edge_list(graph, path, header=None):
             fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def write_csv(path, header, rows):
+    """One header row, then rows, with the csv module's default dialect."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
 
 
 def write_trace_csv(traces, path):
-    """Serialize chain traces with the fixed scalar-column header."""
-    if not isinstance(traces, (list, tuple)):
-        traces = [traces]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(TRACE_HEADER)
-        for t in traces:
-            n = len(t)
-            for i in range(n):
-                wr.writerow(
-                    [i, t.chain_id]
-                    + [_fmt(t.records[k][i]) for k in TRACE_FIELDS]
-                )
+    """Serialize a list of chain traces: the fixed header, then 17-digit floats."""
+    write_csv(path, TRACE_HEADER, (
+        [i, t.chain_id, *(format(float(t.records[k][i]), ".17g") for k in TRACE_FIELDS)]
+        for t in traces for i in range(len(t))))
 
 
 def read_trace_csv(path):
-    """Inverse of write_trace_csv; returns a list of ChainTrace objects."""
+    """Inverse of write_trace_csv; returns a list of ChainTrace objects.
+
+    Each chain's rows must number their iterations 0, 1, 2, ... in file
+    order: SchemaError names the first row that repeats or skips one.
+    """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
@@ -118,10 +113,16 @@ def read_trace_csv(path):
                 raise SchemaError(f"row {rowno} has {len(row)} fields, "
                                   f"expected {len(TRACE_HEADER)}")
             try:
-                by_chain.setdefault(int(row[1]), []).append([float(x) for x in row[2:]])
+                iteration, chain = int(row[0]), int(row[1])
+                values = [float(x) for x in row[2:]]
             except ValueError:
-                raise SchemaError(f"row {rowno}: non-integer chain id or non-numeric "
-                                  f"field in {row!r}") from None
+                raise SchemaError(f"row {rowno}: non-integer iteration or chain id or "
+                                  f"non-numeric field in {row!r}") from None
+            rows = by_chain.setdefault(chain, [])
+            if iteration != len(rows):
+                raise SchemaError(f"row {rowno}: chain {chain} iteration {iteration} "
+                                  f"out of order, expected {len(rows)}")
+            rows.append(values)
     traces = []
     for chain in sorted(by_chain):
         mat = np.asarray(by_chain[chain], dtype=float)

@@ -10,6 +10,7 @@ Each hyperparameter carries an improper 1/x prior.
 """
 
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -56,20 +57,21 @@ class McmcConfig:
     omega_record_stride: int = 0    # 0 disables log-weight snapshots
 
     def __post_init__(self):
-        if self.n_iter < 0 or self.thin < 1 or self.leapfrog_steps < 1:
-            raise DomainError("n_iter >= 0, thin >= 1, leapfrog_steps >= 1 required")
-        if self.n_chains < 1:
-            raise DomainError(f"n_chains must be >= 1, got {self.n_chains}")
+        if self.adapt_iters is None:
+            self.adapt_iters = self.n_iter // 4
+        for name, least in (("n_iter", 0), ("n_chains", 1), ("leapfrog_steps", 1),
+                            ("adapt_iters", 0), ("thin", 1), ("omega_record_stride", 0)):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value}")
         if not 0.0 < self.target_accept < 1.0:
             raise DomainError("target_accept must be in (0, 1)")
         if not (np.isfinite(self.rw_sd) and self.rw_sd > 0.0):
             raise DomainError(f"rw_sd must be finite and > 0, got {self.rw_sd}")
-        if self.adapt_iters is None:
-            self.adapt_iters = self.n_iter // 4
-        if self.adapt_iters < 0:
-            raise DomainError(f"adapt_iters must be >= 0, got {self.adapt_iters}")
-        if self.omega_record_stride < 0:
-            raise DomainError(f"omega_record_stride must be >= 0, got {self.omega_record_stride}")
         check_seed(self.seed)
 
 

@@ -48,8 +48,9 @@ class SimConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.truncation_eps <= 0:
-            raise DomainError("truncation_eps must be positive")
+        if not (np.isfinite(self.truncation_eps) and self.truncation_eps > 0):
+            raise DomainError(
+                f"truncation_eps must be finite and positive, got {self.truncation_eps}")
         if self.path not in SIM_PATHS:
             raise DomainError(f"unknown simulation path {self.path!r}")
         if self.path == "urn" and self.params.sigma != 0.0:
@@ -123,8 +124,8 @@ def sample_crm_truncated(params, eps, rng):
     per atom) and by closed-form tail inversion for tau = 0. The mean mass
     below eps is recorded as remainder (it never spawns edges).
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     w, _ = _crm_weights(params, eps, rng)
     return CrmSample(w, remainder_mass=expected_truncation_mass(params, eps))
 
@@ -208,8 +209,9 @@ def sample_gamma_urn(alpha, tau, rng):
     with probability m_j/(alpha+n). Choosing an existing node proportional
     to multiplicity is done by copying a uniformly chosen past endpoint.
     """
-    if alpha <= 0 or tau <= 0:
-        raise DomainError("gamma urn requires alpha > 0 and tau > 0")
+    if not (np.isfinite(alpha) and np.isfinite(tau) and alpha > 0 and tau > 0):
+        raise DomainError(f"gamma urn requires finite alpha > 0 and tau > 0, "
+                          f"got alpha={alpha}, tau={tau}")
     total = rng.gamma(alpha, 1.0 / tau)
     n_edges = rng.poisson(total * total)
     labels = np.empty(2 * n_edges, dtype=np.int64)

@@ -277,6 +277,14 @@ def test_mcmc_config_rejects_non_integral_seed():
     assert McmcConfig(n_iter=1, seed=np.int64(4)).seed == 4
 
 
+@pytest.mark.parametrize("name", ["n_iter", "n_chains", "leapfrog_steps", "adapt_iters",
+                                  "thin", "omega_record_stride"])
+def test_mcmc_config_counts_must_be_integers(name):
+    with pytest.raises(DomainError, match=name):
+        McmcConfig(**{"n_iter": 8, name: 2.5})
+    assert getattr(McmcConfig(**{"n_iter": 8, name: np.int64(2)}), name) == 2
+
+
 def test_mcmc_config_rejects_negative_omega_record_stride():
     with pytest.raises(DomainError):
         McmcConfig(n_iter=1, omega_record_stride=-3)

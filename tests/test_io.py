@@ -32,8 +32,19 @@ def test_read_edge_list_basic(tmp_path):
     assert z.n_nodes == 3
     # reversed and repeated duplicates collapse; the self-loop stays
     assert z.n_edges == 2
-    assert res.id_map == {10: 0, 20: 1, 30: 2}
+    assert res.ids.tolist() == [10, 20, 30]
     assert res.n_duplicates == 2
+
+
+def test_read_edge_list_takes_indented_comments_tabs_crlf_and_weights(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"  # indented comment\n\t% indented comment\n"
+                     b"7\t2\n2 9\r\n9 7 0.5\n")
+    res = read_edge_list(str(path))
+    assert res.ids.tolist() == [2, 7, 9]
+    assert list(zip(res.graph.edge_i.tolist(), res.graph.edge_j.tolist())) == [
+        (0, 1), (0, 2), (1, 2)]
+    assert res.n_duplicates == 0
 
 
 def test_read_edge_list_parse_error_line_number(tmp_path):
@@ -56,7 +67,7 @@ def test_read_edge_list_deterministic(tmp_path):
     path = write(tmp_path, "5 1\n2 5\n1 2\n")
     a = read_edge_list(path)
     b = read_edge_list(path)
-    assert a.id_map == b.id_map
+    np.testing.assert_array_equal(a.ids, b.ids)
     np.testing.assert_array_equal(a.graph.edge_i, b.graph.edge_i)
     np.testing.assert_array_equal(a.graph.edge_j, b.graph.edge_j)
 
@@ -117,13 +128,12 @@ def test_simulated_graph_reads_back_with_the_same_node_ids(tmp_path):
 def test_read_edge_list_takes_ids_beyond_int64_and_negative(tmp_path):
     big = 2**70
     res = read_edge_list(write(tmp_path, f"{big} 5\n5 {big}\n7 -3\n"))
-    assert res.id_map == {-3: 0, 5: 1, 7: 2, big: 3}
-    assert list(res.id_map) == sorted(res.id_map)
+    assert res.ids.tolist() == [-3, 5, 7, big]
     assert list(zip(res.graph.edge_i.tolist(), res.graph.edge_j.tolist())) == [(0, 2), (1, 3)]
     assert res.n_duplicates == 1
     # just past int64: two distinct ids stay two nodes
     res = read_edge_list(write(tmp_path, f"{2**63} 5\n{2**63 + 1} 5\n", name="g2.txt"))
-    assert res.id_map == {5: 0, 2**63: 1, 2**63 + 1: 2}
+    assert res.ids.tolist() == [5, 2**63, 2**63 + 1]
     assert res.graph.n_edges == 2
 
 
@@ -173,7 +183,11 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
     "0,0,1.0,0.5,1.0,0.1,abc",
     "0,0.5,1.0,0.5,1.0,0.1,-3.0",
     "0,a,1.0,0.5,1.0,0.1,-3.0",
-], ids=["ragged", "non-numeric-field", "float-chain-id", "non-numeric-chain-id"])
+    "0.5,0,1.0,0.5,1.0,0.1,-3.0",
+    "0,0,1.0,0.5,1.0,0.1,-3.0",
+    "2,0,1.0,0.5,1.0,0.1,-3.0",
+], ids=["ragged", "non-numeric-field", "float-chain-id", "non-numeric-chain-id",
+        "non-integer-iteration", "repeated-iteration", "skipped-iteration"])
 def test_trace_csv_rejects_ragged_rows(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(

@@ -33,8 +33,11 @@ from crmgraph.simulate import (
 
 def test_sim_config_validation():
     p = GgpParams(1, 0.5, 1)
-    with pytest.raises(DomainError):
-        SimConfig(params=p, truncation_eps=0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            SimConfig(params=p, truncation_eps=eps)
+        with pytest.raises(DomainError):
+            sample_crm_truncated(p, eps, rng_stream(0))
     with pytest.raises(DomainError):
         SimConfig(params=p, path="magic")
     with pytest.raises(DomainError):
@@ -306,8 +309,12 @@ def test_gamma_urn_edge_count_moments():
 
 
 def test_gamma_urn_validation():
-    with pytest.raises(DomainError):
-        sample_gamma_urn(0.0, 1.0, rng_stream(0, 0))
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            sample_gamma_urn(alpha, 1.0, rng_stream(0, 0))
+    for tau in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            sample_gamma_urn(1.0, tau, rng_stream(0, 0))
 
 
 def test_compound_poisson_graph_matches_gamma_quantile():
