@@ -12,6 +12,7 @@ Each hyperparameter carries an improper 1/x prior.
 import multiprocessing
 import operator
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -21,12 +22,13 @@ from scipy.special import gammaln
 
 from .errors import DomainError, InconsistentStateError
 from .graphs import edge_end_counts
-from .levy import laplace_exponent
+from .levy import _psi
 from .params import GgpParams, check_seed, rng_stream
 from .totalmass import sample_tilted_total_mass, sample_truncated_poisson
 
 PARAM_FIELDS = ("alpha", "sigma", "tau", "w_star")  # McmcState scalars a trace keeps
 TRACE_FIELDS = PARAM_FIELDS + ("log_post",)
+BLOCKS = ("hmc", "hyper", "latent", "record")   # the timed parts of a sweep
 
 
 @dataclass
@@ -103,7 +105,7 @@ def compute_m(graph, nbar):
     """
     up = np.flatnonzero(nbar > 1)
     return graph.unit_m + edge_end_counts(
-        graph.n_nodes, graph.edge_i[up], graph.edge_j[up], nbar[up] - 1)
+        graph.n_nodes, graph.edge_i.take(up), graph.edge_j.take(up), nbar.take(up) - 1)
 
 
 def _check_state(state, graph):
@@ -215,10 +217,10 @@ def hyper_update(state, config, rng):
 
     tau_p = tau * np.exp(config.rw_sd * rng.standard_normal())
     sigma_p = 1.0 - (1.0 - sigma) * np.exp(config.rw_sd * rng.standard_normal())
+    if not (-np.inf < sigma_p < 1.0 and 0.0 < tau_p < np.inf):
+        return state, False     # exp over- or underflowed: only at a huge rw_sd
     tilt = 2.0 * s_w + w_star
-    # psi is per unit alpha, so these shapes carry alpha = 1
-    shape, shape_p = GgpParams(1.0, sigma, tau), GgpParams(1.0, sigma_p, tau_p)
-    rate_p = laplace_exponent(shape_p, tilt)
+    rate_p = _psi(sigma_p, tau_p, tilt)
     alpha_p = float(rng.gamma(n, 1.0 / rate_p))
     if alpha_p <= 0.0 or not np.isfinite(alpha_p):
         return state, False
@@ -229,7 +231,7 @@ def hyper_update(state, config, rng):
         - (tau_p - tau + 2.0 * w_star - 2.0 * w_star_p) * s_w
         + (sigma - sigma_p) * sum_log_w
         + n * (
-            gammaln(1.0 - sigma) + np.log(laplace_exponent(shape, 2.0 * s_w + w_star_p))
+            gammaln(1.0 - sigma) + np.log(_psi(sigma, tau, 2.0 * s_w + w_star_p))
             - gammaln(1.0 - sigma_p) - np.log(rate_p)
         )
     )
@@ -244,10 +246,10 @@ def hyper_update(state, config, rng):
 def latent_rates(state, graph):
     """Conditional truncated-Poisson rates: 2 w_i w_j off-diagonal, w_i^2 on."""
     w = state.weights()
-    rate = (2.0 * w)[graph.edge_i]
-    rate *= w[graph.edge_j]
+    rate = (2.0 * w).take(graph.edge_i)
+    rate *= w.take(graph.edge_j)
     loops = graph.loops
-    rate[loops] = w[graph.edge_i[loops]] ** 2
+    rate[loops] = w.take(graph.edge_i.take(loops)) ** 2
     return rate
 
 
@@ -267,7 +269,7 @@ def init_state(graph, rng):
     tau0 = float(np.exp(0.1 * rng.standard_normal()))
     w_star0 = 0.1
     s_w = w0.sum()
-    alpha0 = graph.n_nodes / laplace_exponent(GgpParams(1.0, sigma0, tau0), 2.0 * s_w + w_star0)
+    alpha0 = graph.n_nodes / _psi(sigma0, tau0, 2.0 * s_w + w_star0)
     return McmcState(
         omega=np.log(np.maximum(w0, 1e-10)),
         w_star=float(w_star0),
@@ -315,6 +317,10 @@ def run_chain(graph, config, chain_id=0):
     counts. The stepsize adapts for the first adapt_iters iterations
     (which double as burn-in), then freezes. Chain c draws from
     rng_stream(config.seed, c).
+
+    meta["timing"] holds the wall seconds and calls of each block in
+    BLOCKS: hmc (with the stepsize adaptation), hyper, latent (the draw
+    and the m it gives) and record (kept iterations only).
     """
     if graph.n_edges < 1:
         raise DomainError("inference requires a graph with at least one edge")
@@ -332,22 +338,32 @@ def run_chain(graph, config, chain_id=0):
     accepted = np.zeros((config.n_iter, 2), dtype=bool)    # per iteration: HMC, hyper
     kept = range(burn, config.n_iter, config.thin)
     stride = config.omega_record_stride
+    spent = dict.fromkeys(BLOCKS, 0.0)
+    clock = time.perf_counter
 
     for it in range(config.n_iter):
         adapting = it < burn
         stepsize = adapter.stepsize if adapting else adapter.frozen_stepsize
+        t0 = clock()
         state, accepted[it, 0] = hmc_update(state, graph, config.leapfrog_steps, stepsize, rng, m=m)
         if adapting:
             adapter.update(accepted[it, 0])
+        t1 = clock()
         state, accepted[it, 1] = hyper_update(state, config, rng)
+        t2 = clock()
         state = latent_update(state, graph, rng)
         m = compute_m(graph, state.nbar)
+        t3 = clock()
+        spent["hmc"] += t1 - t0
+        spent["hyper"] += t2 - t1
+        spent["latent"] += t3 - t2
         if it in kept:
             for k in PARAM_FIELDS:
                 recs[k].append(getattr(state, k))
             recs["log_post"].append(log_posterior(state, graph, check=False, m=m))
             if stride and kept.index(it) % stride == 0:
                 omega_snaps.append(state.omega.copy())
+            spent["record"] += clock() - t3
 
     with np.errstate(invalid="ignore"):     # an empty window has no rate: 0/0 is NaN
         rates = accepted.sum(axis=0) / config.n_iter
@@ -367,6 +383,10 @@ def run_chain(graph, config, chain_id=0):
             "burn": burn,
             "thin": config.thin,
             "stepsize": adapter.frozen_stepsize,
+            "timing": {
+                b: {"seconds": spent[b], "calls": len(kept) if b == "record" else config.n_iter}
+                for b in BLOCKS
+            },
             "init": {
                 "n_nodes": graph.n_nodes,
                 "n_edges": graph.n_edges,

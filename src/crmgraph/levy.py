@@ -123,12 +123,19 @@ def laplace_exponent(params, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("laplace_exponent requires t >= 0")
-    s, tau = params.sigma, params.tau
-    if s == 0.0:
-        out = np.log1p(t / tau)
-    else:
-        out = ((t + tau) ** s - tau**s) / s
+    out = _psi(params.sigma, params.tau, t)
     return float(out) if scalar else out
+
+
+def _psi(sigma, tau, t):
+    """laplace_exponent's formula on unchecked floats or arrays, t >= 0.
+
+    Where the power overflows, numpy floats give inf and plain Python
+    floats raise OverflowError.
+    """
+    if sigma == 0.0:
+        return np.log1p(t / tau)
+    return ((t + tau) ** sigma - tau**sigma) / sigma
 
 
 def expected_truncation_mass(params, eps):

@@ -26,8 +26,9 @@ _SURE_ONE_MARGIN = 2.0**-40
 # Its inversion passes run vectorised while more draws than this are
 # undecided. A numpy pass has a fixed cost of several microseconds, more
 # than finishing a few dozen draws one by one in Python. On the latent
-# rates of both fit benchmarks (2-CPU host, numpy 2.4), 32 was the
-# fastest of 0, 16, 32, 64, 128 and 256.
+# rates of both fit benchmarks (2-CPU host, numpy 2.4), the
+# index-compressed pass timed 16, 32, 64 and 128 within 5% of each other
+# and 0 about 5% (fit-paper) to 20% (sparsity-boundary) slower; 32 stays.
 _VECTOR_MIN_DRAWS = 32
 
 
@@ -245,6 +246,13 @@ def sample_truncated_poisson(rate, rng):
       underflowed to 0 ends a draw (it can happen only for u within
       rounding of 1). Once at most _VECTOR_MIN_DRAWS draws are left,
       each finishes on its own in the same arithmetic.
+
+      The passes are index-compressed. lam, p_k and u - P(X <= k) are the
+      three rows of one (3, n) array, and each pass keeps its undecided
+      draws by the positions np.flatnonzero finds, with one take of that
+      array and one of their indices. A boolean-mask compress would cost
+      several times as much, since an undecided draw is scattered at
+      random and defeats branch prediction.
     - lam > _INVERSION_MAX_RATE: the number of inversion passes grows like
       lam, so these draws keep the one-pass form. X is one plus the
       arrivals of a unit-rate Poisson process on (T, lam], where T is its
@@ -264,25 +272,29 @@ def sample_truncated_poisson(rate, rng):
     u = rng.random(rate.shape)
     out = np.ones(rate.shape, dtype=np.int64)
     idx = np.flatnonzero(u >= _sure_one_bound(rate))
-    lam = rate[idx]
-    small = lam <= _INVERSION_MAX_RATE
-    big, idx, lam = idx[~small], idx[small], lam[small]
+    lam = rate.take(idx)
+    big = idx.take(np.flatnonzero(lam > _INVERSION_MAX_RATE))
+    small = np.flatnonzero(lam <= _INVERSION_MAX_RATE)
+    idx, lam = idx.take(small), lam.take(small)
     p = _p_one(lam)
-    left = u[idx] - p                   # u - P(X <= k), >= 0 while undecided
-    go_on = left >= 0.0
-    idx, lam, p, left = idx[go_on], lam[go_on], p[go_on], left[go_on]
+    left = u.take(idx) - p              # u - P(X <= k), >= 0 while undecided
+    keep = np.flatnonzero(left >= 0.0)
+    idx = idx.take(keep)
+    rows = np.stack((lam, p, left)).take(keep, axis=1)
     k = 1
     while idx.size > _VECTOR_MIN_DRAWS:
         k += 1
         out[idx] = k
+        lam, p, left = rows             # views: the updates below write rows
         p *= lam
         p /= k
         left -= p
-        go_on = (left >= 0.0) & (p > 0.0)
-        idx, lam, p, left = idx[go_on], lam[go_on], p[go_on], left[go_on]
-    out[idx] = _invert_one_by_one(k, lam, p, left)
-    lam = rate[big]
-    first = -np.log1p(u[big] * np.expm1(-lam))
+        keep = np.flatnonzero((left >= 0.0) & (p > 0.0))
+        idx = idx.take(keep)
+        rows = rows.take(keep, axis=1)
+    out[idx] = _invert_one_by_one(k, *rows)
+    lam = rate.take(big)
+    first = -np.log1p(u.take(big) * np.expm1(-lam))
     out[big] = 1 + rng.poisson(np.maximum(lam - first, 0.0))
     if scalar:
         return int(out[0])

@@ -236,6 +236,30 @@ def test_hyper_update_moves_and_keeps_validity():
     assert 0 < n_acc < 300
 
 
+def test_hyper_update_rejects_an_overflowed_proposal():
+    # at this scale exp(rw_sd z) over- or underflows, so sigma' = -inf or
+    # 1 and tau' = inf or 0: outside the region, every proposal is rejected
+    state, _ = two_node_state()
+    rng = rng_stream(105, 0)
+    for _ in range(50):
+        with np.errstate(over="ignore"):
+            state, acc = hyper_update(state, McmcConfig(n_iter=1, rw_sd=1e6), rng)
+        assert not acc
+    assert (state.alpha, state.sigma, state.tau) == (1.0, 0.5, 1.0)
+
+
+def test_run_chain_times_each_block():
+    state, graph = two_node_state()
+    cfg = McmcConfig(n_iter=40, thin=3, seed=4)
+    trace = run_chain(graph, cfg)
+    timing = trace.meta["timing"]
+    assert list(timing) == ["hmc", "hyper", "latent", "record"]
+    for block in ("hmc", "hyper", "latent"):
+        assert timing[block]["calls"] == cfg.n_iter
+    assert timing["record"]["calls"] == len(trace) > 0
+    assert all(v >= 0 for t in timing.values() for v in t.values())
+
+
 def test_zero_iteration_trace():
     state, graph = two_node_state()
     cfg = McmcConfig(n_iter=0, seed=0)
@@ -337,7 +361,10 @@ def test_run_chains_pool_matches_serial_loop(two_cpus):
         assert a.omega is not None
         np.testing.assert_array_equal(a.omega, b.omega)
         assert a.accept_rates == b.accept_rates
+        # wall-clock block timings differ run to run; their shape does not
+        ta, tb = a.meta.pop("timing"), b.meta.pop("timing")
         assert a.meta == b.meta
+        assert {k: v["calls"] for k, v in ta.items()} == {k: v["calls"] for k, v in tb.items()}
 
 
 def test_run_chains_worker_error_keeps_type(two_cpus):

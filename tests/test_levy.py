@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 from crmgraph.errors import DomainError, NotInvertibleError
 from crmgraph.levy import (
+    _psi,
     expected_truncation_mass,
     inv_tail_intensity,
     laplace_exponent,
@@ -139,6 +140,21 @@ def test_laplace_exponent_closed_forms():
     assert laplace_exponent(GgpParams(1, 0.0, 2.0), 4.0) == pytest.approx(np.log(3.0))
     # sigma = 0.5, tau = 0: psi(t) = 2 sqrt(t)
     assert laplace_exponent(GgpParams(1, 0.5, 0.0), 9.0) == pytest.approx(6.0)
+
+
+def test_psi_is_laplace_exponent_bit_for_bit():
+    # the hyper block calls _psi on plain floats, the public entry on arrays
+    grid = [(s, tau) for s in (-3.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 0.9)
+            for tau in (1e-6, 1.0, 1e3)]
+    grid += [(s, 0.0) for s in (1e-9, 0.5, 0.9)]
+    for s, tau in grid:
+        params = GgpParams(1.0, s, tau)
+        for t in (0.0, 1e-8, 1.0, 1e4):
+            got, want = np.float64(_psi(s, tau, t)), np.float64(laplace_exponent(params, t))
+            assert got.tobytes() == want.tobytes(), (s, tau, t)
+        for bad in (-1.0, -5e-324, [1.0, -1.0]):
+            with pytest.raises(DomainError):
+                laplace_exponent(params, bad)
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)

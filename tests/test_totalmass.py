@@ -10,6 +10,7 @@ from scipy.stats import kstest, ks_2samp
 from crmgraph.errors import DomainError, OutOfRegionError
 from crmgraph.levy import laplace_exponent
 from crmgraph.params import GgpParams, rng_stream
+from crmgraph import totalmass
 from crmgraph.totalmass import (
     _INVERSION_MAX_RATE,
     _SURE_ONE_MARGIN,
@@ -255,6 +256,22 @@ def test_sure_one_bound_is_below_p_one():
     np.testing.assert_array_equal(t, 1.0 - 0.5 * lam - _SURE_ONE_MARGIN)
     assert np.all(t < _p_one(lam))
     assert np.all(t[lam > _INVERSION_MAX_RATE] < 0.0)   # big rates are always candidates
+
+
+def test_truncated_poisson_same_draws_whichever_pass_finishes():
+    # the vectorised passes and _invert_one_by_one round alike, so the
+    # switch between them moves no draw
+    g = rng_stream(5, 0)
+    chain_like = g.exponential(size=200_000) * 10.0 ** g.uniform(-3.0, 1.3, size=200_000)
+    for rate in (chain_like, np.full(4000, 5.0)):
+        want = sample_truncated_poisson(rate, rng_stream(5, 1))
+        # X >= 7 was undecided through the passes k = 2..6
+        assert np.sum(want >= 7) > totalmass._VECTOR_MIN_DRAWS
+        for least in (0, rate.size + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(totalmass, "_VECTOR_MIN_DRAWS", least)
+                got = sample_truncated_poisson(rate, rng_stream(5, 1))
+            np.testing.assert_array_equal(got, want)
 
 
 class _LastUniform:
