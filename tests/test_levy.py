@@ -143,7 +143,7 @@ def test_laplace_exponent_closed_forms():
 
 
 def test_psi_is_laplace_exponent_bit_for_bit():
-    # the hyper block calls _psi on plain floats, the public entry on arrays
+    # the hyper block calls _psi on floats; laplace_exponent passes it arrays
     grid = [(s, tau) for s in (-3.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 0.9)
             for tau in (1e-6, 1.0, 1e3)]
     grid += [(s, 0.0) for s in (1e-9, 0.5, 0.9)]

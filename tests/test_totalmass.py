@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 from scipy.stats import kstest, ks_2samp
 
+from crmgraph import totalmass
 from crmgraph.errors import DomainError, OutOfRegionError
 from crmgraph.levy import laplace_exponent
 from crmgraph.params import GgpParams, rng_stream
-from crmgraph import totalmass
 from crmgraph.totalmass import (
     _INVERSION_MAX_RATE,
     _SURE_ONE_MARGIN,
@@ -258,20 +258,54 @@ def test_sure_one_bound_is_below_p_one():
     assert np.all(t[lam > _INVERSION_MAX_RATE] < 0.0)   # big rates are always candidates
 
 
-def test_truncated_poisson_same_draws_whichever_pass_finishes():
+class _GivenUniforms:
+    """Generator whose uniforms are the given ones."""
+
+    def __init__(self, u):
+        self._u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        return self._u.copy()
+
+    def poisson(self, lam):     # called only for rates past the inversion limit
+        assert np.size(lam) == 0
+        return np.zeros(0, dtype=np.int64)
+
+
+def _inversion_edges(lams, ks, ulps=4):
+    """Rates, and uniforms within ulps of the kernel's float64 P(X <= k)."""
+    rate, u = [], []
+    for lam in lams:
+        p = cdf = float(_p_one(lam))
+        for j in range(2, max(ks) + 1):
+            p = p * lam / j
+            cdf += p
+            if j in ks:
+                rate += [lam] * (2 * ulps + 1)
+                u += [cdf + d * np.spacing(cdf) for d in range(-ulps, ulps + 1)]
+    return np.array(rate), np.array(u)
+
+
+def test_truncated_poisson_same_draws_whichever_pass_finishes(monkeypatch):
     # the vectorised passes and _invert_one_by_one round alike, so the
-    # switch between them moves no draw
+    # switch between them moves no draw, not even one whose uniform lies
+    # a few ulps from where u - P(X <= k) changes sign
     g = rng_stream(5, 0)
     chain_like = g.exponential(size=200_000) * 10.0 ** g.uniform(-3.0, 1.3, size=200_000)
-    for rate in (chain_like, np.full(4000, 5.0)):
-        want = sample_truncated_poisson(rate, rng_stream(5, 1))
+    edge_rate, edge_u = _inversion_edges(np.linspace(2.5, 9.5, 60), range(2, 7))
+    cases = [(chain_like, lambda: rng_stream(5, 1)),
+             (np.full(4000, 5.0), lambda: rng_stream(5, 1)),
+             (edge_rate, lambda: _GivenUniforms(edge_u))]
+    for rate, rng in cases:
+        want = sample_truncated_poisson(rate, rng())
         # X >= 7 was undecided through the passes k = 2..6
         assert np.sum(want >= 7) > totalmass._VECTOR_MIN_DRAWS
         for least in (0, rate.size + 1):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(totalmass, "_VECTOR_MIN_DRAWS", least)
-                got = sample_truncated_poisson(rate, rng_stream(5, 1))
-            np.testing.assert_array_equal(got, want)
+            monkeypatch.setattr(totalmass, "_VECTOR_MIN_DRAWS", least)
+            np.testing.assert_array_equal(sample_truncated_poisson(rate, rng()), want)
+        monkeypatch.undo()
+    # every run of 2 * ulps + 1 uniforms straddles its sign change
+    assert np.all(np.ptp(want.reshape(-1, 9), axis=1) == 1)
 
 
 class _LastUniform:
