@@ -51,9 +51,11 @@ def test_invalid_params_exit_1(tmp_path, capsys):
     ["fit", "{graph}", "--n-iter", "20", "--leapfrog-steps", "0"],
     ["fit", "{graph}", "--n-iter", "20", "--target-accept", "1"],
     ["diag", "{bad_trace}"],
+    ["fit", "{latin1_graph}", "--n-iter", "20"],
 ], ids=["n-chains-0", "negative-adapt-iters", "ppc-of-empty-trace", "scaling-empty-graphs",
         "rw-sd-nan", "rw-sd-negative", "scaling-one-distinct-alpha", "sample-negative-seed",
-        "fit-negative-seed", "leapfrog-steps-0", "target-accept-1", "diag-non-numeric-trace"])
+        "fit-negative-seed", "leapfrog-steps-0", "target-accept-1", "diag-non-numeric-trace",
+        "fit-latin-1-id"])
 def test_bad_run_settings_exit_1(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     graph = tmp_path / "g.txt"
@@ -64,7 +66,11 @@ def test_bad_run_settings_exit_1(tmp_path, capsys, monkeypatch, argv):
     bad_trace = tmp_path / "bad.csv"
     bad_trace.write_text("iteration,chain,alpha,sigma,tau,w_star,log_post\n"
                          "0,0,1.0,0.5,1.0,0.1,abc\n")
-    argv = [a.format(graph=graph, empty_trace=empty_trace, bad_trace=bad_trace) for a in argv]
+    # a Latin-1 comment is skipped; the Latin-1 byte in line 3's id is a ParseError
+    latin1_graph = tmp_path / "latin1.txt"
+    latin1_graph.write_bytes(b"# caf\xe9\n0 1\n1 \xe92\n")
+    argv = [a.format(graph=graph, empty_trace=empty_trace, bad_trace=bad_trace,
+                     latin1_graph=latin1_graph) for a in argv]
     assert run(argv) == 1
     assert "error:" in capsys.readouterr().err
 

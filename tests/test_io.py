@@ -1,10 +1,11 @@
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from crmgraph.errors import EmptyGraphError, ParseError, SchemaError
+from crmgraph.errors import DomainError, EmptyGraphError, ParseError, SchemaError
 from crmgraph.graphs import UndirectedGraph
 from crmgraph.graphio import (
     WRITE_BLOCK_EDGES,
@@ -93,6 +94,9 @@ def _chain_graph(n_edges):
     return UndirectedGraph(n_edges + 1, np.arange(n_edges), np.arange(1, n_edges + 1))
 
 
+CHUNK_BOUNDARY_IDS = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 10**16, 2**63 - 1]
+
+
 # write_edge_list reads only edge_i and edge_j; a graph object with ids past
 # 2**31 would allocate per-node arrays of that length, so a stand-in holds them
 WRITER_CASES = {
@@ -104,6 +108,12 @@ WRITER_CASES = {
     "ids-past-2**31": (lambda: SimpleNamespace(
         edge_i=np.array([0, 2**31 - 1, 2**31, 2**40], dtype=np.int64),
         edge_j=np.array([2**31, 2**31, 2**62, 2**63 - 1], dtype=np.int64)), None),
+    # ids at each 4-digit chunk boundary, each paired with another such id and with 7
+    "chunk-boundaries": (lambda: SimpleNamespace(
+        edge_i=np.array(CHUNK_BOUNDARY_IDS * 2, dtype=np.int64),
+        edge_j=np.array(CHUNK_BOUNDARY_IDS[::-1] + [7] * len(CHUNK_BOUNDARY_IDS),
+                        dtype=np.int64)), None),
+    "non-ascii-header": (lambda: _chain_graph(3), "caf\u00e9 \u2014 \u03c3=0.5\nna\u00efve"),
 }
 
 
@@ -113,6 +123,27 @@ def test_write_edge_list_matches_the_per_line_form(tmp_path, make_graph, header)
     path = tmp_path / "g.txt"
     write_edge_list(graph, str(path), header=header)
     assert path.read_bytes() == _per_line_form(graph, header)
+
+
+def test_write_edge_list_rejects_a_negative_id(tmp_path):
+    path = tmp_path / "g.txt"
+    graph = SimpleNamespace(edge_i=np.array([0, -1]), edge_j=np.array([1, 2]))
+    with pytest.raises(DomainError):
+        write_edge_list(graph, str(path))
+    assert not path.exists()
+
+
+def test_write_edge_list_memory_is_bounded_by_the_block(tmp_path):
+    graph = _chain_graph(1_000_000)
+    tracemalloc.start()
+    try:
+        write_edge_list(graph, str(tmp_path / "chain.txt"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a block's arrays take about 110 bytes per edge for these 7-digit ids;
+    # one copy of the graph's two edge arrays would take 16 MB
+    assert peak < 256 * WRITE_BLOCK_EDGES
 
 
 def test_simulated_graph_reads_back_with_the_same_node_ids(tmp_path):
@@ -135,6 +166,57 @@ def test_read_edge_list_takes_ids_beyond_int64_and_negative(tmp_path):
     res = read_edge_list(write(tmp_path, f"{2**63} 5\n{2**63 + 1} 5\n", name="g2.txt"))
     assert res.ids.tolist() == [5, 2**63, 2**63 + 1]
     assert res.graph.n_edges == 2
+
+
+# file bytes -> edge_i, edge_j, ids, n_duplicates
+READER_CASES = {
+    "comments-mid-file": (b"1 2\n  # indented\n\t% indented\n2 3\n# 4 5\n3 1\n",
+                          [0, 0, 1], [1, 2, 2], [1, 2, 3], 0),
+    "blank-lines-crlf-cr-no-final-newline": (b"\n5 6\r\n\r\n6 7\r\r7 5\n\n\n5 6",
+                                             [0, 0, 1], [1, 2, 2], [5, 6, 7], 1),
+    "tabs-weight-trailing-note": (b"1\t2\n2 3 0.5\n3\t\t1  # note\n1 3 x y z\n",
+                                  [0, 0, 1], [1, 2, 2], [1, 2, 3], 1),
+    "signs-zeros-underscores-big": (f"+5 007\n1_000 -3\n{2**63} 5\n{2**70} 7\n".encode(),
+                                    [0, 1, 1, 2], [3, 2, 4, 5],
+                                    [-3, 5, 7, 1000, 2**63, 2**70], 0),
+    "latin-1-and-utf-8-comments": ("# caf\u00e9\n".encode("latin-1")
+                                   + "% \u00e9t\u00e9\n1 2\n".encode()
+                                   + b"#\xff\xfe\n2 1\n",
+                                   [0], [1], [1, 2], 1),
+}
+
+
+@pytest.mark.parametrize("data, edge_i, edge_j, ids, n_duplicates",
+                         READER_CASES.values(), ids=READER_CASES)
+def test_read_edge_list_cases(tmp_path, data, edge_i, edge_j, ids, n_duplicates):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    res = read_edge_list(str(path))
+    assert res.graph.edge_i.tolist() == edge_i
+    assert res.graph.edge_j.tolist() == edge_j
+    assert res.ids.tolist() == ids
+    assert res.n_duplicates == n_duplicates
+
+
+# file bytes -> the line ParseError names
+BAD_READER_CASES = {
+    "one-field": (b"# c\n1 2\n\n3\n4 5\n", 4),
+    "four-fields-over-two-lines": (b"1 2 5\n7\n", 2),
+    "letter-in-id": (b"1 2\r\n12a 3\r\n", 2),
+    "hex-id": (b"1 2\r0x10 3\r", 2),
+    "latin-1-id": (b"1 2\n3 4\n5 \xe96\n", 3),
+    "no-break-space-separator": ("1 2\n3\u00a04\n".encode(), 2),
+    "no-break-space-after-ids": ("1 2\u00a0\n".encode(), 1),
+}
+
+
+@pytest.mark.parametrize("data, line", BAD_READER_CASES.values(), ids=BAD_READER_CASES)
+def test_read_edge_list_names_the_bad_line(tmp_path, data, line):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        read_edge_list(str(path))
+    assert err.value.line_number == line
 
 
 def random_traces(seed=0, n=50, chains=2):
