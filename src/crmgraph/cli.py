@@ -229,3 +229,7 @@ def cli_dispatch(argv=None):
 
 def main():
     sys.exit(cli_dispatch())
+
+
+if __name__ == "__main__":
+    main()

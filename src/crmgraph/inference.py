@@ -33,7 +33,15 @@ BLOCKS = ("hmc", "hyper", "latent", "record")   # the timed parts of a sweep
 
 @dataclass
 class McmcState:
-    """Current position of one chain."""
+    """Current position of one chain.
+
+    weights() is exp(omega). An omega set by init_state or by an accepted
+    hmc_update comes with the weights computed for it, so the hyper and
+    latent blocks of a sweep reuse them. Such an omega and its weights are
+    read-only, and the weights are reused only while state.omega is that
+    very array; so assigning a new omega gives fresh weights, and writing
+    into the old one raises.
+    """
 
     omega: np.ndarray          # log sociabilities, length N
     w_star: float              # remainder mass
@@ -41,9 +49,22 @@ class McmcState:
     sigma: float
     tau: float
     nbar: np.ndarray           # latent counts per undirected edge, >= 1
+    _omega_weights: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def weights(self):
+        if self._omega_weights is not None:
+            omega, w = self._omega_weights
+            # a copy of the state (copy.deepcopy) holds a writeable copy of omega
+            if omega is self.omega and not omega.flags.writeable:
+                return w
         return np.exp(self.omega)
+
+    def _set_omega(self, omega, w):
+        """Make omega, with its weights w = exp(omega), the state's; both become read-only."""
+        omega.flags.writeable = False
+        w.flags.writeable = False
+        self.omega = omega
+        self._omega_weights = (omega, w)
 
 
 @dataclass
@@ -115,24 +136,24 @@ def _check_state(state, graph):
         raise InconsistentStateError("latent counts must be >= 1 on edges")
 
 
-def _grad_and_mass(omega, m_sigma, tau, w_star, out=None):
-    """Gradient in omega of the omega terms of the log posterior,
-    (m_i - sigma) - w_i (tau + 2 sum_j w_j + 2 w*), and sum_j w_j.
+def _grad_and_mass(w, m_sigma, tau, w_star, scale=1.0, out=None):
+    """scale times the gradient in omega of the omega terms of the log
+    posterior, m_sigma - scale w_i (tau + 2 sum_j w_j + 2 w*), and sum_j w_j.
 
-    The gradient is written into out when given (it may not alias omega)
-    and into a new array otherwise.
+    w is exp(omega), and m_sigma is scale (m - sigma), which a leapfrog
+    step passes pre-scaled. The gradient is written into out when given
+    (it may be w) and into a new array otherwise.
     """
-    w = np.exp(omega, out=out)
     s = w.sum()
-    w *= tau + 2.0 * s + 2.0 * w_star
-    return np.subtract(m_sigma, w, out=w), s
+    grad = np.multiply(w, -scale * (tau + 2.0 * s + 2.0 * w_star), out=out)
+    grad += m_sigma
+    return grad, s
 
 
-def _log_target_and_grad(omega, m_sigma, tau, w_star, out=None):
+def _log_target(omega, w_sum, m_sigma, tau, w_star):
     """Terms of the log posterior that depend on omega, Jacobian included,
-    and their gradient (written into out when given); m_sigma is m - sigma."""
-    grad, s = _grad_and_mass(omega, m_sigma, tau, w_star, out)
-    return float(np.dot(m_sigma, omega) - tau * s - (s + w_star) ** 2), grad
+    where w_sum is sum_i exp(omega_i) and m_sigma is m - sigma."""
+    return float(np.dot(m_sigma, omega) - tau * w_sum - (w_sum + w_star) ** 2)
 
 
 def log_posterior(state, graph, *, check=True, m=None):
@@ -148,7 +169,8 @@ def log_posterior(state, graph, *, check=True, m=None):
         _check_state(state, graph)
     if m is None:
         m = compute_m(graph, state.nbar)
-    value, _ = _log_target_and_grad(state.omega, m - state.sigma, state.tau, state.w_star)
+    value = _log_target(state.omega, state.weights().sum(), m - state.sigma,
+                        state.tau, state.w_star)
     return value - len(state.omega) * gammaln(1.0 - state.sigma)
 
 
@@ -156,7 +178,7 @@ def grad_log_posterior(state, graph):
     """Gradient in omega: m_i - sigma - w_i (tau + 2 sum_j w_j + 2 w*)."""
     _check_state(state, graph)
     grad, _ = _grad_and_mass(
-        state.omega, compute_m(graph, state.nbar) - state.sigma, state.tau, state.w_star)
+        state.weights(), compute_m(graph, state.nbar) - state.sigma, state.tau, state.w_star)
     return grad
 
 
@@ -166,37 +188,46 @@ def hmc_update(state, graph, n_steps, stepsize, rng, m=None):
     m is compute_m(graph, state.nbar), computed here when not given. The
     log target is evaluated only at the two ends of the trajectory. A
     diverging trajectory overflows; its non-finite ratio rejects it, so
-    numpy's overflow and invalid-value warnings are silenced here.
+    numpy's overflow, divide and invalid-value warnings are silenced here.
 
-    The trajectory runs in place in one copy of omega, the momentum and
-    one work buffer, so state.omega is never written; each step rounds
-    exactly as q + eps p and p + eps grad would.
+    The leapfrog carries the scaled momentum r = eps p. With
+    a = eps^2 (m - sigma) formed once per call, a full step is q += r,
+    then r += a - eps^2 w (tau + 2 sum w + 2 w*) at w = exp(q): six array
+    passes, in one copy of omega, r and one work buffer, with nothing
+    allocated per step and state.omega never written. The kinetic energy
+    is r.r / (2 eps^2). This is the textbook p += eps/2 grad, q += eps p
+    map, rounded differently. The trajectory starts from state.weights(),
+    and an accepted update hands the state the weights of its end.
     """
     if m is None:
         m = compute_m(graph, state.nbar)
-    target = (m - state.sigma, state.tau, state.w_star)
-    p0 = rng.standard_normal(len(state.omega))
-    half = 0.5 * stepsize
+    m_sigma = m - state.sigma
+    eps2 = stepsize * stepsize
+    target = (np.multiply(eps2, m_sigma), state.tau, state.w_star, eps2)
+    z = rng.standard_normal(len(state.omega))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_p0, buf = _log_target_and_grad(state.omega, *target)
-        buf *= half
-        p = p0 + buf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        buf, s = _grad_and_mass(state.weights(), *target)
+        log_p0 = _log_target(state.omega, s, m_sigma, state.tau, state.w_star)
+        buf *= 0.5
+        r = np.multiply(stepsize, z)
+        r += buf
         q = state.omega.copy()
         for _ in range(n_steps - 1):
-            q += np.multiply(stepsize, p, out=buf)
-            _grad_and_mass(q, *target, out=buf)
-            buf *= stepsize
-            p += buf
-        q += np.multiply(stepsize, p, out=buf)
-        log_p, buf = _log_target_and_grad(q, *target, out=buf)
-        buf *= half
-        p += buf    # the end momentum is -p; its sign drops out of p.p
-        log_r = log_p - log_p0 - 0.5 * (np.dot(p, p) - np.dot(p0, p0))
+            q += r
+            _grad_and_mass(np.exp(q, out=buf), *target, out=buf)
+            r += buf
+        q += r
+        w = np.exp(q)
+        buf, s = _grad_and_mass(w, *target, out=buf)
+        log_p = _log_target(q, s, m_sigma, state.tau, state.w_star)
+        buf *= 0.5
+        r += buf    # the end momentum is -r / eps; its sign drops out of r.r
+        log_r = log_p - log_p0 - 0.5 * (np.dot(r, r) / eps2 - np.dot(z, z))
     if not np.isfinite(log_r):
         return state, False
     if np.log(rng.uniform()) < log_r:
-        state.omega = q
+        state._set_omega(q, w)
         return state, True
     return state, False
 
@@ -270,14 +301,17 @@ def init_state(graph, rng):
     w_star0 = 0.1
     s_w = w0.sum()
     alpha0 = graph.n_nodes / _psi(sigma0, tau0, 2.0 * s_w + w_star0)
-    return McmcState(
-        omega=np.log(np.maximum(w0, 1e-10)),
+    omega = np.log(np.maximum(w0, 1e-10))
+    state = McmcState(
+        omega=omega,
         w_star=float(w_star0),
         alpha=float(alpha0),
         sigma=float(sigma0),
         tau=float(tau0),
         nbar=np.ones(graph.n_edges, dtype=np.int64),
     )
+    state._set_omega(omega, np.exp(omega))
+    return state
 
 
 class _DualAveraging:

@@ -130,12 +130,17 @@ def laplace_exponent(params, t):
 def _psi(sigma, tau, t):
     """laplace_exponent's formula on unchecked floats or arrays, t >= 0.
 
-    Where the power overflows, numpy floats give inf and plain Python
-    floats raise OverflowError.
+    Where a power overflows, the result is what numpy floats give (inf, or
+    nan where two infinities cancel, with numpy's warnings), also for
+    plain Python floats, whose power raises OverflowError instead.
     """
     if sigma == 0.0:
         return np.log1p(t / tau)
-    return ((t + tau) ** sigma - tau**sigma) / sigma
+    try:
+        return ((t + tau) ** sigma - tau**sigma) / sigma
+    except OverflowError:
+        t, tau = np.float64(t), np.float64(tau)
+        return ((t + tau) ** sigma - tau**sigma) / sigma
 
 
 def expected_truncation_mass(params, eps):

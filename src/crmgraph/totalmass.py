@@ -23,6 +23,7 @@ _INVERSION_MAX_RATE = 10.0
 # sample_truncated_poisson settles a draw as X = 1 without expm1 when its
 # uniform lies this far below 1 - rate/2; see its docstring
 _SURE_ONE_MARGIN = 2.0**-40
+_SURE_ONE = 1.0 - _SURE_ONE_MARGIN      # exact in binary
 # Its inversion passes run vectorised while more draws than this are
 # undecided. A numpy pass has a fixed cost of several microseconds, more
 # than finishing a few dozen draws one by one in Python. On the latent
@@ -193,16 +194,16 @@ def sample_tilted_total_mass(params, tilt, rng):
 
 
 def _sure_one_bound(rate):
-    """1 - rate/2 - _SURE_ONE_MARGIN, a lower bound on P(X = 1) = _p_one(rate)."""
-    t = np.multiply(rate, -0.5)         # 1 - rate/2 - margin, rounded as written
-    t += 1.0
-    t -= _SURE_ONE_MARGIN
+    """_SURE_ONE - rate/2, a lower bound on P(X = 1) = _p_one(rate)."""
+    t = np.multiply(rate, -0.5)
+    t += _SURE_ONE
     return t
 
 
-def _p_one(rate):
-    """P(X = 1) = lam / expm1(lam) of the zero-truncated Poisson law."""
-    return rate / np.expm1(rate)
+def _p_one(rate, out=None):
+    """P(X = 1) = lam / expm1(lam) of the zero-truncated Poisson law,
+    written into out when given."""
+    return np.divide(rate, np.expm1(rate, out=out), out=out)
 
 
 def _invert_one_by_one(k, lam, p, left):
@@ -233,12 +234,12 @@ def sample_truncated_poisson(rate, rng):
     squeeze (Devroye 1986, ch. II.5) before p_1 is computed. Since
     e^x - 1 < x / (1 - x/2) for 0 < x < 2, p_1 > 1 - lam/2 at every
     lam > 0 (for lam >= 2 the bound is <= 0). A draw with
-    u < t = 1 - lam/2 - _SURE_ONE_MARGIN is therefore X = 1. The margin
-    is far wider than the few ulps by which the rounded expm1 and divide
-    can stray, so the squeeze never decides a draw that the exact compare
-    would decide otherwise, and the output is the same bit for bit as
-    with the compare alone. The draws with u >= t, the candidates, go on
-    by rate:
+    u < t = _SURE_ONE - lam/2, where _SURE_ONE = 1 - _SURE_ONE_MARGIN, is
+    therefore X = 1. The margin is far wider than the ulp by which t is
+    rounded and the few by which the rounded expm1 and divide can stray,
+    so the squeeze never decides a draw that the exact compare would
+    decide otherwise, and the output is the same bit for bit as with the
+    compare alone. The draws with u >= t, the candidates, go on by rate:
 
     - lam <= _INVERSION_MAX_RATE: X = 1 when u < p_1. Only the draws
       still undecided take the next term, p_k = p_{k-1} lam / k, so each
@@ -264,23 +265,33 @@ def sample_truncated_poisson(rate, rng):
     them off before the u < p_1 compare matters: applying that shortcut
     to the large rates too and drawing the rest by the one-pass form
     would double P(X = 1) there.
+
+    A stage with no draws to work on is skipped. So when no rate exceeds
+    _INVERSION_MAX_RATE, a call uses the generator exactly as
+    rng.random(len(rate)) does.
     """
     scalar = np.isscalar(rate)
     rate = np.atleast_1d(np.asarray(rate, dtype=float))
-    if rate.size and not (rate.min() > 0.0 and np.isfinite(rate.max())):
+    top = rate.max(initial=0.0)
+    if rate.size and not (rate.min() > 0.0 and np.isfinite(top)):
         raise DomainError("truncated Poisson requires a finite rate > 0")
     u = rng.random(rate.shape)
     out = np.ones(rate.shape, dtype=np.int64)
     idx = np.flatnonzero(u >= _sure_one_bound(rate))
-    lam = rate.take(idx)
-    big = idx.take(np.flatnonzero(lam > _INVERSION_MAX_RATE))
-    small = np.flatnonzero(lam <= _INVERSION_MAX_RATE)
-    idx, lam = idx.take(small), lam.take(small)
-    p = _p_one(lam)
-    left = u.take(idx) - p              # u - P(X <= k), >= 0 while undecided
+    has_big = top > _INVERSION_MAX_RATE
+    if has_big:
+        lam = rate.take(idx)
+        big = idx.take(np.flatnonzero(lam > _INVERSION_MAX_RATE))
+        idx = idx.take(np.flatnonzero(lam <= _INVERSION_MAX_RATE))
+    rows = np.empty((3, idx.size))
+    lam, p, left = rows
+    rate.take(idx, out=lam)
+    _p_one(lam, out=p)
+    u.take(idx, out=left)
+    left -= p                           # u - P(X <= k), >= 0 while undecided
     keep = np.flatnonzero(left >= 0.0)
     idx = idx.take(keep)
-    rows = np.stack((lam, p, left)).take(keep, axis=1)
+    rows = rows.take(keep, axis=1)
     k = 1
     while idx.size > _VECTOR_MIN_DRAWS:
         k += 1
@@ -292,10 +303,12 @@ def sample_truncated_poisson(rate, rng):
         keep = np.flatnonzero((left >= 0.0) & (p > 0.0))
         idx = idx.take(keep)
         rows = rows.take(keep, axis=1)
-    out[idx] = _invert_one_by_one(k, *rows)
-    lam = rate.take(big)
-    first = -np.log1p(u.take(big) * np.expm1(-lam))
-    out[big] = 1 + rng.poisson(np.maximum(lam - first, 0.0))
+    if idx.size:
+        out[idx] = _invert_one_by_one(k, *rows)
+    if has_big:
+        lam = rate.take(big)
+        first = -np.log1p(u.take(big) * np.expm1(-lam))
+        out[big] = 1 + rng.poisson(np.maximum(lam - first, 0.0))
     if scalar:
         return int(out[0])
     return out

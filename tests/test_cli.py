@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import crmgraph
 from crmgraph import __version__
 from crmgraph.cli import cli_dispatch, main
 
@@ -113,6 +116,26 @@ def test_sample_deterministic_golden(tmp_path):
     sa.pop("timestamp")
     sb.pop("timestamp")
     assert sa == sb
+
+
+@pytest.mark.parametrize("module", ["crmgraph", "crmgraph.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    env = dict(os.environ)
+    src = str(Path(crmgraph.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["sample", "--alpha", "20", "--sigma", "0.5", "--tau", "1", "--eps", "1e-3",
+            "--seed", "6", "--out"]
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    done = subprocess.run([sys.executable, "-m", module, *argv, a], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("wrote ")
+    assert run([*argv, b]) == 0
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    done = subprocess.run([sys.executable, "-m", module, "fit", a, "--n-chains", "0"],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: n_chains must be >= 1")
 
 
 def test_sample_no_self_loops(tmp_path, capsys):

@@ -17,7 +17,7 @@ from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import SimConfig, sample_graph
 from crmgraph.totalmass import sample_truncated_poisson
 
-RUN_CHAIN_SHA256 = "8435b657e28a03b9c450e81c611cef697461ecef9017776c758497f31604fcf8"
+RUN_CHAIN_SHA256 = "65b166204c1994e479304dcfde53947bda4985a8a2c5b07000484d684092ca7b"
 SAMPLE_GRAPH_SHA256 = "b3f65d4d61d31ac61b40ea96f375c62d1f30e9e0eb088e432702f6ac1a1cd749"
 TRUNCATED_POISSON_SHA256 = "049764308a3e09e11394c0990c7a95362619b6ebdb8eccaff544f037832af984"
 CHAIN_LIKE_POISSON_SHA256 = "9820943be91fd7445382c5374b3e7e967d27d211a8335c1fb3c2f9f276dc2244"

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import os
 import warnings
 
@@ -172,6 +174,80 @@ def test_hmc_never_writes_into_the_callers_omega(stepsize, accepts):
     assert accepted is accepts
     assert (state.omega is before) is not accepts
     assert before.tobytes() == saved
+
+
+class _Scripted:
+    """Generator stand-in that hands out given normals and a given uniform."""
+
+    def __init__(self, normals, u):
+        self.normals, self.u = normals, u
+
+    def standard_normal(self, size):
+        assert size == len(self.normals)
+        return self.normals.copy()
+
+    def uniform(self):
+        return self.u
+
+
+def test_hmc_follows_the_textbook_leapfrog():
+    # oracle: p += eps/2 grad, q += eps p on grad_log_posterior. The
+    # scaled-momentum kernel rounds differently, but driven by the same
+    # normals it must land on the same position, and a uniform a hair on
+    # either side of the oracle's acceptance ratio must decide alike
+    z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.5, 1.0), 1e-3, seed=6))
+    rng = rng_stream(7, 0)
+    start = init_state(z, rng)
+    latent_update(start, z, rng)
+    n_steps, eps = 10, 0.05
+
+    def grad(q):
+        return grad_log_posterior(dataclasses.replace(start, omega=q), z)
+
+    for seed in range(60, 70):
+        p0 = rng_stream(seed, 0).standard_normal(len(start.omega))
+        q = start.omega.copy()
+        p = p0 + 0.5 * eps * grad(q)
+        for step in range(n_steps):
+            q = q + eps * p
+            p = p + (0.5 * eps if step == n_steps - 1 else eps) * grad(q)
+        log_r = (log_posterior(dataclasses.replace(start, omega=q), z) - log_posterior(start, z)
+                 - 0.5 * (p @ p - p0 @ p0))
+        assert -1.0 < log_r < -1e-3
+        state = copy.copy(start)
+        state, accepted = hmc_update(state, z, n_steps, eps, _Scripted(p0, np.exp(log_r + 1e-9)))
+        assert accepted is False and state.omega is start.omega
+        state, accepted = hmc_update(state, z, n_steps, eps, _Scripted(p0, np.exp(log_r - 1e-9)))
+        assert accepted is True
+        np.testing.assert_allclose(state.omega, q, rtol=1e-12, atol=1e-12 * np.abs(q).max())
+
+
+def test_weights_never_go_stale():
+    z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.5, 1.0), 1e-3, seed=6))
+    state = init_state(z, rng_stream(7, 0))
+    # a set omega carries its weights; neither can be written in place
+    assert state.weights() is state.weights()
+    assert state.weights().tobytes() == np.exp(state.omega).tobytes()
+    with pytest.raises(ValueError):
+        state.omega[0] += 1.0
+    with pytest.raises(ValueError):
+        state.weights()[0] = 1.0
+    # an accepted HMC update hands over the weights of its end
+    state, accepted = hmc_update(state, z, 10, 1e-3, rng_stream(7, 1))
+    assert accepted
+    assert state.weights() is state.weights()
+    assert state.weights().tobytes() == np.exp(state.omega).tobytes()
+    # a replaced omega gives fresh weights
+    state.omega = state.omega + 1.0
+    assert state.weights().tobytes() == np.exp(state.omega).tobytes()
+    # so does a writeable omega written in place, and a copied state's omega
+    state.omega[0] = 3.0
+    assert state.weights()[0] == np.exp(3.0)
+    state = init_state(z, rng_stream(7, 0))
+    twin = copy.deepcopy(state)
+    twin.omega[0] = 3.0
+    assert twin.weights()[0] == np.exp(3.0)
+    assert state.weights()[0] != np.exp(3.0)
 
 
 def test_hmc_preserves_two_node_posterior():

@@ -157,6 +157,21 @@ def test_psi_is_laplace_exponent_bit_for_bit():
                 laplace_exponent(params, bad)
 
 
+def test_psi_overflows_to_inf_on_plain_floats():
+    # tau**sigma leaves a double at tau = 1e-300 for sigma below about -1.03;
+    # plain Python floats raise OverflowError there, numpy floats give inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in np.linspace(-5.0, -1.03, 60).tolist():
+            params = GgpParams(1.0, s, 1e-300)
+            for t in (0.0, 1e-8, 1.0, 1e4):
+                got = np.float64(_psi(s, 1e-300, t))
+                want = np.float64(_psi(np.float64(s), np.float64(1e-300), np.float64(t)))
+                assert got.tobytes() == want.tobytes(), (s, t)
+                assert got.tobytes() == np.float64(laplace_exponent(params, t)).tobytes()
+                if t > 0.0:
+                    assert got == np.inf, (s, t)
+
+
 @pytest.mark.parametrize("params", PARAM_GRID)
 @pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.5])
 def test_expected_truncation_mass_matches_quadrature(params, eps):

@@ -258,6 +258,19 @@ def test_sure_one_bound_is_below_p_one():
     assert np.all(t[lam > _INVERSION_MAX_RATE] < 0.0)   # big rates are always candidates
 
 
+def test_truncated_poisson_draws_only_uniforms_below_the_split():
+    # with no rate past the inversion limit a call advances the generator
+    # exactly as drawing its uniforms does, whatever the rates need
+    g = rng_stream(5, 0)
+    chain_like = g.exponential(size=50_000) * 10.0 ** g.uniform(-3.0, 1.3, size=50_000)
+    for rate in (np.minimum(chain_like, _INVERSION_MAX_RATE), np.full(3, 1e-12), np.zeros(0)):
+        assert not np.any(rate > _INVERSION_MAX_RATE)
+        rng, twin = rng_stream(5, 1), rng_stream(5, 1)
+        sample_truncated_poisson(rate, rng)
+        twin.random(len(rate))
+        np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+
+
 class _GivenUniforms:
     """Generator whose uniforms are the given ones."""
 
@@ -266,10 +279,6 @@ class _GivenUniforms:
 
     def random(self, size=None):
         return self._u.copy()
-
-    def poisson(self, lam):     # called only for rates past the inversion limit
-        assert np.size(lam) == 0
-        return np.zeros(0, dtype=np.int64)
 
 
 def _inversion_edges(lams, ks, ulps=4):
