@@ -1,13 +1,13 @@
 """Graph value types and structural transforms.
 
-Each graph type is built from raw endpoint pairs: it checks ids against
-its node count (DomainError if out of range), merges repeated pairs and stores
-them sorted. A directed multigraph counts ordered pairs; its undirected
+Each graph type is built from raw endpoint pairs and checks their ids
+against its node count (DomainError if out of range). A directed multigraph
+lists one (src, dst) pair per edge, in the order given; its undirected
 restriction keeps one edge per connected unordered pair (self-loops
-allowed).
+allowed), merged and stored sorted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -15,19 +15,16 @@ import numpy as np
 from .errors import DomainError
 
 
-def _merge_pairs(n, a, b):
-    """Pairs (a, b) over [0, n) x [0, n), each stored once, sorted by (a, b).
-
-    One np.unique of the key a * n + b merges and sorts. Returns the stored
-    a, b and how many times each pair was listed.
-    """
+def _checked_ids(n, a, b):
+    """Endpoint ids a, b as int64; DomainError unless they pair up in [0, n)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    if len(a) != len(b):
+        raise DomainError(f"{len(a)} source ids for {len(b)} target ids")
     for ids in (a, b):
         if len(ids) and (ids.min() < 0 or ids.max() >= n):
             raise DomainError(f"node id out of range [0, {n})")
-    keys, counts = np.unique(a * n + b, return_counts=True)
-    return keys // n, keys % n, counts
+    return a, b
 
 
 def edge_end_counts(n, i, j, counts=None):
@@ -40,35 +37,30 @@ def edge_end_counts(n, i, j, counts=None):
 
 @dataclass(frozen=True, eq=False)
 class DirectedMultigraph:
-    """Sparse directed edge counts n_ij >= 1 over 0-based contiguous ids.
-
-    One (src, dst) pair is listed per edge; counts holds each stored
-    pair's multiplicity.
-    """
+    """Directed edges over 0-based contiguous ids, one (src, dst) pair per
+    edge in the order given: a pair listed k times has multiplicity n_ij = k."""
 
     n_nodes: int
     src: np.ndarray
     dst: np.ndarray
-    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pairs = _merge_pairs(self.n_nodes, self.src, self.dst)
-        for name, value in zip(("src", "dst", "counts"), pairs):
-            object.__setattr__(self, name, value)
+        for name, ids in zip(("src", "dst"), _checked_ids(self.n_nodes, self.src, self.dst)):
+            object.__setattr__(self, name, ids)
 
     @property
     def total_edges(self):
         """D*: total number of directed edges, multiplicity included."""
-        return int(self.counts.sum())
+        return len(self.src)
 
     def incident_degree(self):
         """Per-node count of outgoing plus incoming edges; a self edge counts twice."""
-        return edge_end_counts(self.n_nodes, self.src, self.dst, self.counts)
+        return edge_end_counts(self.n_nodes, self.src, self.dst)
 
     def count_matrix(self):
         """Dense n_ij matrix; only for small graphs (tests, oracles)."""
         m = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
-        m[self.src, self.dst] = self.counts
+        np.add.at(m, (self.src, self.dst), 1)
         return m
 
 
@@ -79,20 +71,23 @@ class UndirectedGraph:
     n_nodes: int
     edge_i: np.ndarray
     edge_j: np.ndarray
-    degree: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        i, j = self.edge_i, self.edge_j
-        lo, hi, _ = _merge_pairs(self.n_nodes, np.minimum(i, j), np.maximum(i, j))
-        object.__setattr__(self, "edge_i", lo)
-        object.__setattr__(self, "edge_j", hi)
-        # a self-loop contributes 1 to the degree statistics
-        deg = np.bincount(lo, minlength=self.n_nodes)
-        deg += np.bincount(hi[lo != hi], minlength=self.n_nodes)
-        object.__setattr__(self, "degree", deg.astype(np.int64))
+        i, j = _checked_ids(self.n_nodes, self.edge_i, self.edge_j)
+        n = self.n_nodes
+        # return_counts keeps np.unique on its sort path; value-only is ~20x slower on numpy 2.4
+        keys, _ = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_counts=True)
+        object.__setattr__(self, "edge_i", keys // n)
+        object.__setattr__(self, "edge_j", keys % n)
 
-    # Inference reads these on every sweep; a graph that is only drawn or
-    # written never builds them.
+    # Built on first read: a graph that is only drawn or written builds none of them.
+    @cached_property
+    def degree(self):
+        """Per-node count of distinct neighbours; a self-loop contributes 1."""
+        deg = np.bincount(self.edge_i, minlength=self.n_nodes)
+        deg += np.bincount(self.edge_j[self.edge_i != self.edge_j], minlength=self.n_nodes)
+        return deg.astype(np.int64)
+
     @cached_property
     def loops(self):
         """Indices of the self-loop edges."""

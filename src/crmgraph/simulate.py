@@ -11,7 +11,9 @@ jumps of a compound Poisson process) are independent, distributionally
 equivalent alternatives used for cross-validation. Every path finishes a
 draw by the same rules: a draw with no atoms is an empty graph, isolated
 nodes drop, self-loops drop when include_self_loops is false, and nodes are
-numbered in the order of the atoms they come from.
+numbered in the order of the atoms they come from. Every Poisson count a path
+draws is checked against numpy's limit on the mean first: DomainError, naming
+the mean, instead of numpy's ValueError.
 """
 
 from dataclasses import dataclass
@@ -30,15 +32,17 @@ from .levy import (
 from .params import GgpParams, check_seed, rng_stream
 
 DEFAULT_EPS = 1e-6
-# numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max),
-# about 9.2e18; this is the largest W* whose square stays at or below it
-_MAX_TOTAL_MASS = np.nextafter(
-    np.sqrt(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)), 0.0)
+# numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max), about 9.2e18
+_MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+# the largest W* whose square stays at or below it
+_MAX_TOTAL_MASS = np.nextafter(np.sqrt(_MAX_POISSON_MEAN), 0.0)
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration for one graph draw."""
+    """Configuration for one graph draw. A valid one can still make the draw
+    raise DomainError: a very small truncation_eps puts a Poisson count's
+    mean past numpy's limit (about 9.2e18)."""
 
     params: GgpParams
     truncation_eps: float = DEFAULT_EPS
@@ -55,6 +59,14 @@ class SimConfig:
             raise DomainError(f"unknown simulation path {self.path!r}")
         if self.path == "urn" and self.params.sigma != 0.0:
             raise DomainError("the urn path is exact only for sigma = 0")
+
+
+def _poisson_count(mean, rng, what):
+    """rng.poisson(mean), or DomainError, before any draw, for a mean numpy rejects."""
+    if not 0 <= mean <= _MAX_POISSON_MEAN:
+        raise DomainError(f"{what} has Poisson mean {mean:.6g}, outside numpy's "
+                          f"range [0, {_MAX_POISSON_MEAN:.6g}]")
+    return rng.poisson(mean)
 
 
 def _crm_weights(params, eps, rng):
@@ -78,7 +90,7 @@ def _crm_weights(params, eps, rng):
     a, s, t = params.alpha, params.sigma, params.tau
     if t == 0.0:
         rate = tail_intensity(params, eps)
-        k = rng.poisson(a * rate)
+        k = _poisson_count(a * rate, rng, "the atom count above eps")
         w = inv_tail_intensity(params, rng.uniform(size=k) * rate)
         return np.maximum(w, np.nextafter(eps, np.inf)), k
 
@@ -93,7 +105,8 @@ def _crm_weights(params, eps, rng):
     r = abs(s) * big_l
     anchor = eps if s >= 0 else b
     length = -np.expm1(-r) / abs(s) if s != 0.0 else big_l
-    n1 = rng.poisson(np.exp(log_c - s * np.log(anchor)) * length)
+    n1 = _poisson_count(np.exp(log_c - s * np.log(anchor)) * length, rng,
+                        "the CRM proposal count on (eps, b]")
     u = rng.random(n1)
     x = -np.log1p(u * np.expm1(-r)) / abs(s) if s != 0.0 else u * big_l
     w1 = eps * np.exp(x) if s >= 0 else b * np.exp(-x)
@@ -106,7 +119,8 @@ def _crm_weights(params, eps, rng):
     lam = 1.0 if k <= 0 else max(1.0 / (1.0 + k), 1.0 - k / v0)
     v_top = v0 if k <= 0 else max(v0, k / (1.0 - lam))
     log_env = k * np.log(v_top / v0) - (1.0 - lam) * (v_top - v0)
-    n2 = rng.poisson(np.exp(log_c + k * np.log(b) - v0 + log_env - np.log(lam * t)))
+    n2 = _poisson_count(np.exp(log_c + k * np.log(b) - v0 + log_env - np.log(lam * t)), rng,
+                        "the CRM proposal count on (b, inf)")
     w2 = b + rng.exponential(1.0 / (lam * t), size=n2)
     log_keep = k * np.log(w2 / b) - (1.0 - lam) * t * (w2 - b) - log_env
     w2 = w2[rng.random(n2) < np.exp(log_keep)]
@@ -171,7 +185,8 @@ def _directed_conditional(sample, rng):
 
 
 def sample_directed_conditional(sample, rng):
-    """D* ~ Poisson(W*^2); each of the 2 D* endpoints i.i.d. proportional to weights."""
+    """D* ~ Poisson(W*^2); each of the 2 D* endpoints i.i.d. proportional to
+    weights, the edges listed in the order drawn."""
     d, _ = _directed_conditional(sample, rng)
     return d
 
@@ -213,7 +228,7 @@ def sample_gamma_urn(alpha, tau, rng):
         raise DomainError(f"gamma urn requires finite alpha > 0 and tau > 0, "
                           f"got alpha={alpha}, tau={tau}")
     total = rng.gamma(alpha, 1.0 / tau)
-    n_edges = rng.poisson(total * total)
+    n_edges = _poisson_count(total * total, rng, "the urn's edge count D*")
     labels = np.empty(2 * n_edges, dtype=np.int64)
     n_distinct = 0
     for n in range(2 * n_edges):
@@ -260,11 +275,11 @@ def sample_kallenberg(params, eps, rng):
     uniforms go through H^-1 directly, and eps is unused.
     """
     if params.sigma < 0:
-        k = rng.poisson(params.alpha * total_tail_mass(params))
+        k = _poisson_count(params.alpha * total_tail_mass(params), rng, "the mark count")
         w = gammaincinv(-params.sigma, rng.uniform(size=k)) * (1.0 / params.tau)
     else:
         bound = params.alpha * tail_intensity(params, eps)    # DomainError for eps <= 0
-        k = rng.poisson(bound)
+        k = _poisson_count(bound, rng, "the mark count")
         marks = rng.uniform(0.0, bound, size=k)
         w = inv_tail_intensity(params, marks / params.alpha)
     ei, ej = _bernoulli_pair_edges(w, rng)

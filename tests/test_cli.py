@@ -39,6 +39,15 @@ def test_invalid_params_exit_1(tmp_path, capsys):
                 "--out", out]) == 1
 
 
+def test_sample_past_numpy_poisson_limit_exits_1(tmp_path, capsys):
+    # at eps = 1e-40 the CRM proposal count has a Poisson mean of about 3.4e22
+    assert run(["sample", "--alpha", "300", "--sigma", "0.5", "--tau", "1", "--eps", "1e-40",
+                "--out", str(tmp_path / "g.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "Poisson mean" in err[0]
+    assert not (tmp_path / "g.txt").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["test-sparsity", "{graph}", "--n-iter", "20", "--n-chains", "0"],
     ["fit", "{graph}", "--n-iter", "20", "--adapt-iters", "-5"],

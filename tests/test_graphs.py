@@ -80,13 +80,22 @@ def test_undirected_graph_collapses_repeated_and_reversed_pairs():
     np.testing.assert_array_equal(z.degree, [1, 2, 1])
 
 
-def test_pair_counts_merge_across_repeats():
-    d = DirectedMultigraph(2, [0, 0], [1, 1])
-    np.testing.assert_array_equal(d.counts, [2])
-    counts = [3, 1, 4, 2]
-    d = DirectedMultigraph(3, np.repeat([2, 0, 2, 0], counts), np.repeat([1, 1, 1, 0], counts))
-    assert list(zip(d.src.tolist(), d.dst.tolist(), d.counts.tolist())) == [
-        (0, 0, 2), (0, 1, 1), (2, 1, 7)]
+@pytest.mark.parametrize("build", [
+    lambda: DirectedMultigraph(3, [0], [1, 2]),
+    lambda: UndirectedGraph(3, [0, 1], [2]),
+])
+def test_graph_types_reject_unpaired_ids(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_repeated_pairs_stay_in_given_order():
+    src, dst = [2, 0, 2, 0, 2, 0], [1, 1, 1, 0, 1, 0]
+    d = DirectedMultigraph(3, src, dst)
+    assert (d.src.tolist(), d.dst.tolist()) == (src, dst)
+    assert d.src.dtype == d.dst.dtype == np.int64
+    assert d.total_edges == 6
+    np.testing.assert_array_equal(d.count_matrix(), [[2, 1, 0], [0, 0, 0], [0, 3, 0]])
 
 
 def test_undirected_has_edge():
@@ -107,16 +116,20 @@ def _brute_force_undirected(count_matrix):
     return edges
 
 
+def _shuffled_multigraph(mat, rng):
+    """The multigraph with counts mat, its edges listed in random order."""
+    src, dst = np.nonzero(mat)
+    order = rng.permutation(mat.sum())
+    return DirectedMultigraph(len(mat), np.repeat(src, mat[src, dst])[order],
+                              np.repeat(dst, mat[src, dst])[order])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 123456))
 def test_undirected_restriction_matches_brute_force(n, seed):
     rng = np.random.default_rng(seed)
     mat = rng.poisson(0.8, size=(n, n))
-    src, dst = np.nonzero(mat)
-    if len(src) == 0:
-        return
-    counts = mat[src, dst]
-    d = DirectedMultigraph(n, np.repeat(src, counts), np.repeat(dst, counts))
+    d = _shuffled_multigraph(mat, rng)
     z = to_undirected(d)
     assert set(zip(z.edge_i.tolist(), z.edge_j.tolist())) == _brute_force_undirected(mat)
 
@@ -126,11 +139,10 @@ def test_undirected_restriction_matches_brute_force(n, seed):
 def test_incident_degree_conservation(n, seed):
     rng = np.random.default_rng(seed)
     mat = rng.poisson(0.6, size=(n, n))
-    src, dst = np.nonzero(mat)
-    if len(src) == 0:
-        return
-    counts = mat[src, dst]
-    d = DirectedMultigraph(n, np.repeat(src, counts), np.repeat(dst, counts))
+    d = _shuffled_multigraph(mat, rng)
+    np.testing.assert_array_equal(d.count_matrix(), mat)
+    assert d.total_edges == mat.sum()
+    np.testing.assert_array_equal(d.incident_degree(), mat.sum(0) + mat.sum(1))
     assert d.incident_degree().sum() == 2 * d.total_edges
 
 
