@@ -11,10 +11,11 @@ package.
 import hashlib
 
 import numpy as np
+import pytest
 
 from crmgraph.inference import McmcConfig, run_chain
 from crmgraph.params import GgpParams, rng_stream
-from crmgraph.simulate import SimConfig, sample_graph
+from crmgraph.simulate import SimConfig, _crm_weights, sample_graph, sample_undirected_ggp
 from crmgraph.totalmass import sample_truncated_poisson
 
 RUN_CHAIN_SHA256 = "65b166204c1994e479304dcfde53947bda4985a8a2c5b07000484d684092ca7b"
@@ -23,6 +24,21 @@ TRUNCATED_POISSON_SHA256 = "049764308a3e09e11394c0990c7a95362619b6ebdb8eccaff544
 CHAIN_LIKE_POISSON_SHA256 = "9820943be91fd7445382c5374b3e7e967d27d211a8335c1fb3c2f9f276dc2244"
 # pinned on the compound-Poisson path that the sigma < 0 Kallenberg path replaced
 FINITE_ACTIVITY_SHA256 = "db3152126700f457f64fd877eeb07ceb972d9045e6ca2211de550ac06a82cda6"
+# truncated draws of 77k-169k CRM proposals and 2 D* of 100k-200k endpoints, so
+# that a draw made in blocks spans several of them: (alpha, sigma, tau, eps, sha256)
+# over every CRM weight, the graph, and its ground-truth weights
+MULTI_BLOCK_DRAWS = {
+    "sigma-0.5": (300.0, 0.5, 1.0, 1e-5,
+                  "9588b62c36632b8be92e6a599c0c89c10725176c1538fb679277e82a604b9eea"),
+    "sigma-0.5-tau-0.25": (150.0, 0.5, 0.25, 1e-6,
+                           "55afa2a9ce0853cdaadacecbf38467c17fd39fd9d85a7dc17b179faba8ad3bd1"),
+    "sigma-0-tau-10": (3000.0, 0.0, 10.0, 1e-12,
+                       "768a58581e171c311c055954349045ef4f90610c42fa729ec6e55f5c46408f17"),
+    "sigma-neg-0.5-tau-150": (5.5e5, -0.5, 150.0, 1e-6,
+                              "d17e23b2b8ba121b5a8feebf3d7f341a99b5a015f461fea3bfd5c34220cf738c"),
+    "sigma-neg-2-tau-800": (1.5e11, -2.0, 800.0, 1e-9,
+                            "e99e4a7e06e622afc7fc5f2a6149baafbd872855a1ec6a347b3ba876798d329c"),
+}
 
 
 def _update(h, arr, dtype):
@@ -65,6 +81,20 @@ def test_sample_graph_truncated_digest():
     z = sample_graph(SimConfig(params=GgpParams(60.0, 0.5, 1.0), truncation_eps=1e-5, seed=21))
     assert z.n_nodes > 100
     assert graph_sha256(z) == SAMPLE_GRAPH_SHA256
+
+
+@pytest.mark.parametrize("name", MULTI_BLOCK_DRAWS)
+def test_multi_block_truncated_draw_digest(name):
+    alpha, sigma, tau, eps, digest = MULTI_BLOCK_DRAWS[name]
+    p = GgpParams(alpha, sigma, tau)
+    w, n_proposals = _crm_weights(p, eps, rng_stream(8))
+    z, truth = sample_undirected_ggp(SimConfig(params=p, truncation_eps=eps, seed=8))
+    assert n_proposals > 65_536 and z.n_edges > 20_000
+    h = hashlib.sha256()
+    _update(h, w, np.float64)
+    h.update(graph_sha256(z).encode())
+    _update(h, truth.weights, np.float64)
+    assert h.hexdigest() == digest
 
 
 def test_sample_graph_finite_activity_kallenberg_digest():
