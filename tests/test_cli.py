@@ -48,6 +48,15 @@ def test_sample_past_numpy_poisson_limit_exits_1(tmp_path, capsys):
     assert not (tmp_path / "g.txt").exists()
 
 
+def test_sample_past_the_proposal_cap_exits_1(tmp_path, capsys):
+    # at eps = 1e-20 the draw expects about 3.4e12 CRM proposals, 24.6 TiB of doubles
+    assert run(["sample", "--alpha", "300", "--sigma", "0.5", "--tau", "1", "--eps", "1e-20",
+                "--out", str(tmp_path / "g.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "MAX_EXPECTED_PROPOSALS" in err[0]
+    assert not (tmp_path / "g.txt").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["test-sparsity", "{graph}", "--n-iter", "20", "--n-chains", "0"],
     ["fit", "{graph}", "--n-iter", "20", "--adapt-iters", "-5"],

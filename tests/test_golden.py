@@ -15,7 +15,13 @@ import pytest
 
 from crmgraph.inference import McmcConfig, run_chain
 from crmgraph.params import GgpParams, rng_stream
-from crmgraph.simulate import SimConfig, _crm_weights, sample_graph, sample_undirected_ggp
+from crmgraph.simulate import (
+    _DRAW_BLOCK,
+    SimConfig,
+    _crm_weights,
+    sample_graph,
+    sample_undirected_ggp,
+)
 from crmgraph.totalmass import sample_truncated_poisson
 
 RUN_CHAIN_SHA256 = "65b166204c1994e479304dcfde53947bda4985a8a2c5b07000484d684092ca7b"
@@ -89,7 +95,7 @@ def test_multi_block_truncated_draw_digest(name):
     p = GgpParams(alpha, sigma, tau)
     w, n_proposals = _crm_weights(p, eps, rng_stream(8))
     z, truth = sample_undirected_ggp(SimConfig(params=p, truncation_eps=eps, seed=8))
-    assert n_proposals > 65_536 and z.n_edges > 20_000
+    assert n_proposals > 2 * _DRAW_BLOCK and z.n_edges > 20_000
     h = hashlib.sha256()
     _update(h, w, np.float64)
     h.update(graph_sha256(z).encode())

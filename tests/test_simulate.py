@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,56 @@ def test_poisson_mean_past_numpy_limit_is_a_domain_error(draw, draws_first):
         draw(rng)
     unchanged = rng.random() == rng_stream(2).random()
     assert unchanged != draws_first
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.0])
+def test_draw_past_the_proposal_cap_is_refused_before_allocating(tau):
+    # alpha 300, sigma 0.5, eps 1e-20: about 3.4e12 proposals, 24.6 TiB of doubles
+    rng = rng_stream(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"expects 3\.38514e\+12 proposals"):
+            sample_crm_truncated(GgpParams(300.0, 0.5, tau), 1e-20, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert rng.random() == rng_stream(2).random()
+
+
+def test_proposal_cap_bounds_the_summed_mean(monkeypatch):
+    # alpha 10, sigma -2, tau 1, eps 0.1: the (eps, b] and (b, inf) counts have
+    # means of about 2.5 and 4.5, so a cap of 5 passes each alone but not their sum
+    p = GgpParams(10.0, -2.0, 1.0)
+    monkeypatch.setattr(simulate, "MAX_EXPECTED_PROPOSALS", 5.0)
+    with pytest.raises(DomainError, match=r"expects 6\.9376 proposals"):
+        sample_crm_truncated(p, 0.1, rng_stream(3))
+    monkeypatch.setattr(simulate, "MAX_EXPECTED_PROPOSALS", 7.0)
+    sample_crm_truncated(p, 0.1, rng_stream(3))
+
+
+@pytest.mark.parametrize("n", [0, 1, simulate._DRAW_BLOCK - 1, simulate._DRAW_BLOCK,
+                               simulate._DRAW_BLOCK + 1, 3 * simulate._DRAW_BLOCK + 7])
+def test_blocked_thinning_equals_one_call(n):
+    w = rng_stream(5).random(n)
+    rng, one_call = rng_stream(6), rng_stream(6)
+    expected = w[one_call.random(n) < np.exp(-w)]
+    k = simulate._thin(w, lambda block: np.exp(-block), rng)
+    np.testing.assert_array_equal(w[:k], expected)
+    np.testing.assert_equal(rng.bit_generator.state, one_call.bit_generator.state)
+
+
+def test_paper_scale_draw_peak_memory():
+    # seed 4 makes 338k CRM proposals and 2 D* = 180k endpoints; the draw peaked
+    # at 15.5 MiB while its temporaries were whole arrays, and at 9.9 MiB blocked
+    cfg = SimConfig(params=GgpParams(300.0, 0.5, 1.0), truncation_eps=1e-6, seed=4)
+    tracemalloc.start()
+    try:
+        sample_undirected_ggp(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_directed_conditional_of_zero_weights_is_an_empty_graph():
