@@ -97,17 +97,17 @@ def _check_proposal_means(means):
                           f"raise eps")
 
 
-def _thin(w, keep_prob, rng):
-    """Keep each proposal of w with probability keep_prob(w), in place.
+def _thin(w, tau, rng):
+    """Keep each proposal of w with probability e^(-tau w), in place.
 
     Returns k, with w[:k] the kept proposals in order. The test
-    rng.random(len(w)) < keep_prob(w) runs in blocks of _DRAW_BLOCK, whose
-    uniforms are the same doubles, in the same order, as one call's.
+    rng.random(len(w)) < np.exp(-tau * w) runs in blocks of _DRAW_BLOCK,
+    whose uniforms are the same doubles, in the same order, as one call's.
     """
     k = 0
     for lo in range(0, len(w), _DRAW_BLOCK):
         block = w[lo:lo + _DRAW_BLOCK]
-        kept = block[rng.random(len(block)) < keep_prob(block)]
+        kept = block[rng.random(len(block)) < np.exp(-tau * block)]
         w[k:k + len(kept)] = kept
         k += len(kept)
     return k
@@ -182,7 +182,7 @@ def _crm_weights(params, eps, rng):
 
     n1 = rng.poisson(mean1)
     w1 = rng.random(n1)
-    if s != 0.0:    # log(w / anchor) = -x for sigma < 0, x above
+    if s != 0.0:    # log(w / anchor), which is x for sigma > 0 and -x for sigma < 0
         w1 *= np.expm1(-r)
         np.log1p(w1, out=w1)
         w1 /= -s
@@ -190,7 +190,7 @@ def _crm_weights(params, eps, rng):
         w1 *= big_l
     np.exp(w1, out=w1)
     w1 *= anchor
-    k1 = _thin(w1, lambda w: np.exp(-t * w), rng)
+    k1 = _thin(w1, t, rng)
 
     n2 = rng.poisson(mean2)
     w2 = b + rng.exponential(1.0 / (lam * t), size=n2)

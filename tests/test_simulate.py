@@ -320,8 +320,8 @@ def test_proposal_cap_bounds_the_summed_mean(monkeypatch):
 def test_blocked_thinning_equals_one_call(n):
     w = rng_stream(5).random(n)
     rng, one_call = rng_stream(6), rng_stream(6)
-    expected = w[one_call.random(n) < np.exp(-w)]
-    k = simulate._thin(w, lambda block: np.exp(-block), rng)
+    expected = w[one_call.random(n) < np.exp(-2.0 * w)]
+    k = simulate._thin(w, 2.0, rng)
     np.testing.assert_array_equal(w[:k], expected)
     np.testing.assert_equal(rng.bit_generator.state, one_call.bit_generator.state)
 
