@@ -131,8 +131,8 @@ def _crm_weights(params, eps, rng):
     The (eps, b] proposals live in one array: its uniforms become weights
     in place, and the thinning test runs in blocks of _DRAW_BLOCK, each
     block's kept weights moved down to the front of the array. The blocks'
-    uniforms are the same doubles, in the same order, as one call's, so the
-    draw is bit for bit the one made on whole arrays. glibc hands a freed
+    uniforms are the same doubles, in the same order, as one call's, so
+    blocking changes no output. glibc hands a freed
     multi-MiB array back to the OS, and the next draw faults its pages in
     again; with few such arrays alive, a draw holds 16 bytes per proposal
     at its peak. At the paper's scale (338k proposals, seed 4) the
@@ -232,9 +232,9 @@ def _directed_conditional(sample, rng):
     the sorted uniforms _DRAW_BLOCK at a time instead of as one whole
     sorted copy; the labels' cumulative sum reuses the atom-index buffer.
     So the search holds the cdf and three arrays of 2 D* entries, and
-    nothing else of a multi-MiB size (at the paper's scale 7.4 MiB over the
-    weights, against 8.3 MiB with whole-array temporaries); this runs on
-    the same generator draws as before, so the output is unchanged.
+    nothing else of a multi-MiB size: at the paper's scale 7.4 MiB over the
+    weights, against 8.3 MiB with whole-array temporaries. The blocks make
+    the same generator draws, so they change no output.
     DomainError for a negative or non-finite weight, and for a total W*
     whose square passes numpy's Poisson limit (about 9.2e18).
     """
