@@ -28,6 +28,7 @@ RUN_CHAIN_SHA256 = "65b166204c1994e479304dcfde53947bda4985a8a2c5b07000484d684092
 SAMPLE_GRAPH_SHA256 = "b3f65d4d61d31ac61b40ea96f375c62d1f30e9e0eb088e432702f6ac1a1cd749"
 TRUNCATED_POISSON_SHA256 = "049764308a3e09e11394c0990c7a95362619b6ebdb8eccaff544f037832af984"
 CHAIN_LIKE_POISSON_SHA256 = "9820943be91fd7445382c5374b3e7e967d27d211a8335c1fb3c2f9f276dc2244"
+DEEP_INVERSION_POISSON_SHA256 = "30fc73f58da5627ad210b6acd3223a0d626a5ae787cd8788eb48a9e02f5db663"
 # pinned on the compound-Poisson path that the sigma < 0 Kallenberg path replaced
 FINITE_ACTIVITY_SHA256 = "db3152126700f457f64fd877eeb07ceb972d9045e6ca2211de550ac06a82cda6"
 # truncated draws of 77k-169k CRM proposals and 2 D* of 100k-200k endpoints, so
@@ -130,3 +131,17 @@ def test_truncated_poisson_chain_like_digest():
     h = hashlib.sha256()
     _update(h, x, np.int64)
     assert h.hexdigest() == CHAIN_LIKE_POISSON_SHA256
+
+
+def test_truncated_poisson_deep_inversion_digest():
+    # 20k rates uniform in [2, 10], all inverted term by term: X reaches 23,
+    # so most undecided draws take many terms and the last few finish one
+    # by one; the uniforms drawn next pin the generator state
+    rate = rng_stream(6, 0).uniform(2.0, 10.0, size=20_000)
+    rng = rng_stream(6, 1)
+    x = sample_truncated_poisson(rate, rng)
+    assert x.max() > 20
+    h = hashlib.sha256()
+    _update(h, x, np.int64)
+    _update(h, rng.random(4), np.float64)
+    assert h.hexdigest() == DEEP_INVERSION_POISSON_SHA256
