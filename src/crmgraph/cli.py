@@ -152,6 +152,7 @@ def _cmd_test_sparsity(args):
         "p_sparse": result.p_sparse,
         "ci_sigma": list(result.ci_sigma),
         "max_psrf": result.max_psrf,
+        "ess_sigma": result.ess_sigma,
         "runtime": time.time() - start,
     }
     if result.warning:

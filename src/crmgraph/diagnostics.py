@@ -36,6 +36,7 @@ class SparsityTestResult:
     p_sparse: float                 # Pr(sigma >= 0 | data), pooled over chains
     ci_sigma: tuple                 # equal-tailed 99% interval for sigma
     max_psrf: float = None
+    ess_sigma: float = None         # sum over chains of sigma's ess
     warning: str = None
 
 
@@ -52,6 +53,33 @@ def _psrf_scalar(chains):
     if w == 0.0:
         return 1.0 if b == 0.0 else np.inf
     return float(np.sqrt((w + b / n) / w))
+
+
+def ess(x):
+    """Effective sample size of one chain's draws x, by Geyer's (1992)
+    initial monotone sequence.
+
+    The autocorrelations rho_t come from one zero-padded FFT. The pair sums
+    rho_2k + rho_2k+1 are summed up to the first non-positive one, each
+    lowered to the smallest before it, so tau = -1 + 2 (sum of pairs) and
+    the ESS is n / tau. An anti-correlated chain can make tau tiny, so the
+    ESS is capped at n log10(n), as Stan caps it. A constant chain has none:
+    nan.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 4:
+        raise TooFewSamplesError("ess requires at least 4 draws")
+    if x.min() == x.max():
+        return np.nan
+    d = x - x.mean()
+    f = np.fft.rfft(d, 2 * n)
+    acov = np.fft.irfft(f.real**2 + f.imag**2, 2 * n)[:n]
+    pairs = (acov[: n - n % 2].reshape(-1, 2).sum(axis=1)) / acov[0]
+    nonpositive = np.flatnonzero(pairs <= 0.0)
+    stop = nonpositive[0] if nonpositive.size else pairs.size
+    tau = 2.0 * np.minimum.accumulate(pairs[:stop]).sum() - 1.0
+    return float(n / max(tau, 1.0 / np.log10(n)))
 
 
 def _trace_columns(traces, params):
@@ -128,6 +156,8 @@ def sparsity_test(traces):
 
     The warning, if any, names chains that may not have mixed: a PSRF of
     sigma above 1.1, or a stalled HMC block (stalled_hmc_warnings).
+    ess_sigma is the sum of each chain's ess of sigma, None when a chain
+    has fewer than 4 kept draws.
     """
     if sum(len(t) for t in traces) == 0:
         raise TooFewSamplesError("sparsity test requires kept draws")
@@ -142,8 +172,12 @@ def sparsity_test(traces):
                 messages.insert(0, f"max PSRF {max_r:.3f} exceeds 1.1; chains may not have mixed")
         except TooFewSamplesError:
             pass
+    try:
+        ess_sigma = sum(ess(t["sigma"]) for t in traces)
+    except TooFewSamplesError:
+        ess_sigma = None
     return SparsityTestResult(p_sparse=p_sparse, ci_sigma=ci, max_psrf=max_r,
-                              warning="; ".join(messages) or None)
+                              ess_sigma=ess_sigma, warning="; ".join(messages) or None)
 
 
 def degree_bins(max_degree):

@@ -218,12 +218,13 @@ def test_test_sparsity_json(small_graph, tmp_path, capsys):
     assert code == 0
     assert first_line(trace) == "iteration,chain,alpha,sigma,tau,w_star,log_post"
     doc = json.loads(Path(out).read_text())
-    for key in ("p_sparse", "ci_sigma", "max_psrf", "runtime"):
+    for key in ("p_sparse", "ci_sigma", "max_psrf", "ess_sigma", "runtime"):
         assert key in doc
     assert doc["schema_version"] == 1 and doc["library_version"] == __version__
     assert list(doc) == sorted(doc)
     assert 0.0 <= doc["p_sparse"] <= 1.0
     assert doc["ci_sigma"][0] <= doc["ci_sigma"][1]
+    assert doc["ess_sigma"] > 0.0
 
 
 def test_diag_and_ppc_from_trace(small_graph, tmp_path, capsys):

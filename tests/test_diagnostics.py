@@ -5,6 +5,7 @@ from scipy.special import gammaln
 from crmgraph.diagnostics import (
     credible_interval,
     degree_bins,
+    ess,
     fit_loglog_slope,
     posterior_predictive_degrees,
     powerlaw_check,
@@ -16,7 +17,7 @@ from crmgraph.diagnostics import (
 )
 from crmgraph.errors import DomainError, TooFewChainsError, TooFewSamplesError
 from crmgraph.inference import ChainTrace, McmcConfig, run_chain
-from crmgraph.params import GgpParams
+from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import SimConfig, sample_undirected_ggp
 
 
@@ -126,6 +127,44 @@ def test_sparsity_test_definitional():
     lo, hi = res.ci_sigma
     assert lo < hi
     assert lo == pytest.approx(np.quantile(pooled, 0.005))
+
+
+def _ar1(phi, n, seed):
+    z = rng_stream(seed, 0).standard_normal(n)
+    x = np.empty(n)
+    x[0] = z[0] / np.sqrt(1.0 - phi * phi)     # start in the stationary law
+    for t in range(1, n):
+        x[t] = phi * x[t - 1] + z[t]
+    return x
+
+
+@pytest.mark.parametrize("phi,tol", [(0.0, 0.06), (0.5, 0.10), (0.9, 0.22), (-0.5, 0.13)])
+def test_ess_of_ar1_series(phi, tol):
+    # the ESS of a stationary AR(1) series is n (1 - phi) / (1 + phi) to
+    # first order. Over 100 seeds at n = 50000 the ratio to it had sd 0.014,
+    # 0.025, 0.053 and 0.032 at phi = 0, 0.5, 0.9 and -0.5; each tol is
+    # about 4 of those sds
+    n = 50_000
+    for seed in range(3):
+        ratio = ess(_ar1(phi, n, seed)) / (n * (1.0 - phi) / (1.0 + phi))
+        assert abs(ratio - 1.0) <= tol
+
+
+def test_ess_edge_cases():
+    assert np.isnan(ess(np.full(50, 0.3)))
+    with pytest.raises(TooFewSamplesError):
+        ess([1.0, 2.0, 3.0])
+    # a perfectly alternating chain would have tau = 0; it is capped
+    n = 1000
+    assert ess(np.tile([1.0, -1.0], n // 2)) == pytest.approx(n * np.log10(n))
+
+
+def test_sparsity_test_sums_sigma_ess_over_chains():
+    t1, t2 = make_trace(n=400, seed=3), make_trace(n=400, seed=4, chain_id=1)
+    res = sparsity_test([t1, t2])
+    assert res.ess_sigma == ess(t1["sigma"]) + ess(t2["sigma"])
+    assert 300.0 < res.ess_sigma < 1600.0           # independent draws: about 800
+    assert sparsity_test([make_trace(n=3), make_trace(n=300)]).ess_sigma is None
 
 
 def test_sparsity_test_all_positive():
