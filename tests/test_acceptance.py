@@ -225,6 +225,61 @@ def test_criterion_9_tilted_mass_laplace():
                   f"(target <= 4); failures: {fails}")
 
 
+# (alpha, sigma, tau, graph seed), drawn with eps = 1e-6: 182 nodes and 3546
+# edges, 540 and 6787, 1942 and 19805
+GGP_VERDICT_GRAPHS = {
+    "sigma-neg-0.5": (100.0, -0.5, 1.0, 1),
+    "sigma-0": (100.0, 0.0, 1.0, 4),
+    "sigma-0.25": (150.0, 0.25, 1.0, 3),
+}
+VERDICT_MIN_ESS = 10.0
+
+
+@pytest.mark.parametrize("name", GGP_VERDICT_GRAPHS)
+def test_sparsity_verdict_on_ggp_graphs(name):
+    """The sparsity test fits GGP graphs drawn on both sides of sigma = 0.
+
+    Each fit runs 2 chains of 2000 iterations (the CLI defaults otherwise,
+    so 1500 kept draws each) and must give a summed sigma ESS of at least
+    VERDICT_MIN_ESS = 10. The thresholds follow from the Monte Carlo error
+    at that ESS E, treating the pooled draws as E independent ones:
+
+    - p_sparse estimates p = Pr(sigma >= 0 | data) with standard error
+      sqrt(p (1 - p) / E). Away from sigma = 0 the posterior sd of sigma is
+      about 0.08 (sigma = -0.5) and 0.015 (sigma = 0.25), and 0 lies more
+      than 5 of them outside the posterior bulk, so p < 1e-6 or p > 1 - 1e-6
+      and that error is below 3.2e-4 at E = 10. A threshold of 0.05 is then
+      more than 150 standard errors from p: p_sparse < 0.05 (sigma < 0) or
+      > 0.95 (sigma > 0) fails only when the chains sit in the wrong law or
+      have not left their start near sigma = 0, not by chance.
+    - The 99% interval is the 0.5% and 99.5% quantiles of the pooled draws.
+      At E = 10 the level of an empirical tail quantile q = 0.005 is off by
+      about sqrt(q (1 - q) / E) = 0.022, so the interval has an effective
+      level between about 96% and 99.9%. A truth outside it is still a
+      failure worth reporting: for a well-specified fit it happens less
+      than 4% of the time over graph draws, and these graphs were fixed
+      before any fit was run.
+    - On the sigma = 0 graph nothing beyond coverage is asserted: p there
+      is near 0.14-0.5, and at E = 10 its standard error is up to 0.16.
+    """
+    alpha, sigma, tau, seed = GGP_VERDICT_GRAPHS[name]
+    cfg = SimConfig(params=GgpParams(alpha, sigma, tau), truncation_eps=1e-6, seed=seed)
+    z, _ = sample_undirected_ggp(cfg)
+    traces = run_chains(z, McmcConfig(n_iter=2000, n_chains=2, seed=0))
+    res = sparsity_test(traces)
+    lo, hi = res.ci_sigma
+    ok = res.ess_sigma >= VERDICT_MIN_ESS and lo <= sigma <= hi
+    if sigma < 0.0:
+        ok = ok and res.p_sparse < 0.05
+    elif sigma > 0.0:
+        ok = ok and res.p_sparse > 0.95
+    detail = (f"{name} ({z.n_nodes} nodes, {z.n_edges} edges): p_sparse={res.p_sparse:.4f}, "
+              f"sigma 99% CI=({lo:.3f}, {hi:.3f}), sigma ESS={res.ess_sigma:.1f} "
+              f"(>= {VERDICT_MIN_ESS})")
+    print(f"{'PASS' if ok else 'FAIL'} sparsity verdict: {detail}")
+    assert ok, detail
+
+
 DATA_FILES = {
     "polblogs": "data/polblogs.txt",
     "USairport": "data/usairport.txt",
