@@ -439,8 +439,10 @@ def run_chains(graph, config):
     """Independent chains on separate random streams, run in parallel.
 
     The pool has k = min(n_chains, usable CPUs) workers, where the usable
-    CPUs are the process's affinity set, so ``taskset`` bounds it. With
-    k < 2 the chains run one after another in this process. Chain c draws
+    CPUs are the process's affinity set, so ``taskset`` bounds it; where
+    the OS has no affinity call (macOS, Windows) they are os.cpu_count().
+    With k < 2, or where multiprocessing has no "fork" start method
+    (Windows), the chains run one after another in this process. Chain c draws
     from rng_stream(config.seed, c) either way, so the traces, returned in
     chain order, do not depend on k down to the last bit. An error raised
     in a worker is raised here with its type.
@@ -453,8 +455,9 @@ def run_chains(graph, config):
     caller runs no other thread. This package starts none, and OpenBLAS
     stops its own threads around a fork.
     """
-    k = min(config.n_chains, len(os.sched_getaffinity(0)))
-    if k < 2:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = min(config.n_chains, cpus or 1)
+    if k < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [run_chain(graph, config, chain_id=c) for c in range(config.n_chains)]
     with ProcessPoolExecutor(k, mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(_chain, repeat(graph), repeat(config), range(config.n_chains)))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import multiprocessing
 import os
 import warnings
 
@@ -422,6 +423,20 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
+def _tag_pids(monkeypatch):
+    """Record in each trace the pid of the process that ran its chain."""
+    import crmgraph.inference as inf
+
+    original = inf.run_chain
+
+    def wrapped(*args, **kwargs):
+        trace = original(*args, **kwargs)
+        trace.meta["pid"] = os.getpid()
+        return trace
+
+    monkeypatch.setattr(inf, "run_chain", wrapped)
+
+
 def test_run_chains_pool_matches_serial_loop(two_cpus):
     cfg = SimConfig(params=GgpParams(20, 0.5, 1.0), truncation_eps=1e-3, seed=6)
     z, _ = sample_undirected_ggp(cfg)
@@ -450,20 +465,37 @@ def test_run_chains_worker_error_keeps_type(two_cpus):
 
 def test_run_chains_runs_replaced_run_chain_in_workers(two_cpus, monkeypatch):
     # a closure cannot be pickled; the workers must find it on the module
-    import crmgraph.inference as inf
-
-    original = inf.run_chain
-
-    def wrapped(*args, **kwargs):
-        trace = original(*args, **kwargs)
-        trace.meta["pid"] = os.getpid()
-        return trace
-
-    monkeypatch.setattr(inf, "run_chain", wrapped)
+    _tag_pids(monkeypatch)
     graph = UndirectedGraph(3, [0, 1], [1, 2])
     traces = run_chains(graph, McmcConfig(n_iter=20, n_chains=2, seed=1))
     assert [t.chain_id for t in traces] == [0, 1]
     assert all(t.meta["pid"] != os.getpid() for t in traces)
+
+
+def test_run_chains_counts_cpus_without_affinity(monkeypatch):
+    # macOS and Windows have no sched_getaffinity: the pool is sized by cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _tag_pids(monkeypatch)
+    traces = run_chains(UndirectedGraph(3, [0, 1], [1, 2]), McmcConfig(n_iter=20, n_chains=2))
+    assert [t.chain_id for t in traces] == [0, 1]
+    assert all(t.meta["pid"] != os.getpid() for t in traces)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)     # unknown: one CPU
+    traces = run_chains(UndirectedGraph(3, [0, 1], [1, 2]), McmcConfig(n_iter=20, n_chains=2))
+    assert all(t.meta["pid"] == os.getpid() for t in traces)
+
+
+def test_run_chains_without_fork_runs_in_process(two_cpus, monkeypatch):
+    # Windows has no "fork" start method: the chains run serially here
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    _tag_pids(monkeypatch)
+    graph = UndirectedGraph(3, [0, 1], [1, 2])
+    mc = McmcConfig(n_iter=20, n_chains=2, seed=1)
+    traces = run_chains(graph, mc)
+    assert [t.chain_id for t in traces] == [0, 1]
+    assert all(t.meta["pid"] == os.getpid() for t in traces)
+    for t in traces:
+        np.testing.assert_array_equal(t["sigma"], run_chain(graph, mc, t.chain_id)["sigma"])
 
 
 def test_chain_deterministic_in_seed():
