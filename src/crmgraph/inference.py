@@ -124,7 +124,7 @@ def compute_m(graph, nbar):
     its value at nbar = 1, which the graph holds, and adds the excess
     nbar - 1 of the other edges.
     """
-    up = np.flatnonzero(nbar > 1)
+    up = (nbar > 1).nonzero()[0]
     return graph.unit_m + edge_end_counts(
         graph.n_nodes, graph.edge_i.take(up), graph.edge_j.take(up), nbar.take(up) - 1)
 

@@ -24,13 +24,21 @@ _INVERSION_MAX_RATE = 10.0
 # uniform lies this far below 1 - rate/2; see its docstring
 _SURE_ONE_MARGIN = 2.0**-40
 _SURE_ONE = 1.0 - _SURE_ONE_MARGIN      # exact in binary
-# Its inversion passes run vectorised while more draws than this are
-# undecided. A numpy pass has a fixed cost of several microseconds, more
-# than finishing a few dozen draws one by one in Python. On the latent
-# rates of both fit benchmarks (2-CPU host, numpy 2.4), the
-# index-compressed pass timed 16, 32, 64 and 128 within 5% of each other
-# and 0 about 5% (fit-paper) to 20% (sparsity-boundary) slower; 32 stays.
+# Its inversion blocks run vectorised while more draws than this are
+# undecided. A numpy call has a fixed cost of a few microseconds, more than
+# finishing a few dozen draws one by one in Python. Per-call medians of 300
+# interleaved calls on the latent rates of a chain after 400 sweeps (2-CPU
+# host, numpy 2.4), with 4-term blocks: sparsity-boundary 0: 290 us, 16:
+# 254, 32: 232, 64: 229, 128: 228; fit-paper 0: 1157, 16: 1101, 32: 1092,
+# 64: 1084, 128: 1094. 32 stays.
 _VECTOR_MIN_DRAWS = 32
+# Each inversion block tries this many consecutive terms. A draw that stops
+# early wastes a few products, but the fixed cost of the block's numpy
+# calls is paid once per block, not once per term. Per-call medians as
+# above, at 1, 2, 3, 4, 5, 6 and 8 terms: sparsity-boundary 366, 274, 247,
+# 235, 237, 243, 238 us; fit-paper 1360, 1175, 1142, 1146, 1158, 1185,
+# 1288 us. One term at a time, before blocks, took 301 and 1203 us.
+_BLOCK_TERMS = 4
 
 
 def _log_stable_std(rng, alpha):
@@ -207,9 +215,9 @@ def _p_one(rate, out=None):
 
 
 def _invert_one_by_one(k, lam, p, left):
-    """Finish the inversion of draws undecided after the pass that tried X = k.
+    """Finish the inversion of draws undecided after the term X = k.
 
-    The same steps as a vectorised pass, on Python floats, which round
+    The same steps as an inversion block, on Python floats, which round
     each product and quotient as numpy's float64 does.
     """
     out = []
@@ -242,16 +250,26 @@ def sample_truncated_poisson(rate, rng):
     compare alone. The draws with u >= t, the candidates, go on by rate:
 
     - lam <= _INVERSION_MAX_RATE: X = 1 when u < p_1. Only the draws
-      still undecided take the next term, p_k = p_{k-1} lam / k, so each
-      pass runs on a shrinking index set. A pass whose term has
-      underflowed to 0 ends a draw (it can happen only for u within
-      rounding of 1). Once at most _VECTOR_MIN_DRAWS draws are left,
-      each finishes on its own in the same arithmetic.
+      still undecided take the next term, p_k = p_{k-1} lam / k, so the
+      work runs on a shrinking index set. A term that has underflowed to 0
+      ends a draw (it can happen only for u within rounding of 1). Once at
+      most _VECTOR_MIN_DRAWS draws are left, each finishes on its own in
+      the same arithmetic.
 
-      The passes are index-compressed. lam, p_k and u - P(X <= k) are the
-      three rows of one (3, n) array, and each pass keeps its undecided
-      draws by the positions np.flatnonzero finds, with one take of that
-      array and one of their indices. A boolean-mask compress would cost
+      The passes work in blocks of _BLOCK_TERMS consecutive terms, since a
+      numpy call has a fixed cost of several microseconds and a term only
+      a few calls' work. A block fills one (2, _BLOCK_TERMS, n) array row
+      by row with p_k and u - P(X <= k), by the same products, quotients
+      and differences as one term at a time, so every draw is the same bit
+      for bit. A draw goes on past term k while u - P(X <= k) >= 0 and
+      p_k > 0. Both tests stay false once false, so the number of rows in
+      which both hold, one sum over the block, gives the draw's value, and
+      the draws that went on through the whole block take the next one.
+      The first block starts at p_1.
+
+      The blocks are index-compressed: each keeps its undecided draws by
+      the positions nonzero() finds, with one take of their indices, their
+      rates and the block's last row. A boolean-mask compress would cost
       several times as much, since an undecided draw is scattered at
       random and defeats branch prediction.
     - lam > _INVERSION_MAX_RATE: the number of inversion passes grows like
@@ -277,34 +295,42 @@ def sample_truncated_poisson(rate, rng):
         raise DomainError("truncated Poisson requires a finite rate > 0")
     u = rng.random(rate.shape)
     out = np.ones(rate.shape, dtype=np.int64)
-    idx = np.flatnonzero(u >= _sure_one_bound(rate))
+    idx = (u >= _sure_one_bound(rate)).nonzero()[0]
+    lam = rate.take(idx)
     has_big = top > _INVERSION_MAX_RATE
     if has_big:
-        lam = rate.take(idx)
-        big = idx.take(np.flatnonzero(lam > _INVERSION_MAX_RATE))
-        idx = idx.take(np.flatnonzero(lam <= _INVERSION_MAX_RATE))
-    rows = np.empty((3, idx.size))
-    lam, p, left = rows
-    rate.take(idx, out=lam)
-    _p_one(lam, out=p)
-    u.take(idx, out=left)
-    left -= p                           # u - P(X <= k), >= 0 while undecided
-    keep = np.flatnonzero(left >= 0.0)
-    idx = idx.take(keep)
-    rows = rows.take(keep, axis=1)
-    k = 1
-    while idx.size > _VECTOR_MIN_DRAWS:
-        k += 1
-        out[idx] = k
-        lam, p, left = rows             # views: the updates below write rows
-        p *= lam
-        p /= k
-        left -= p
-        keep = np.flatnonzero((left >= 0.0) & (p > 0.0))
+        big = idx.take((lam > _INVERSION_MAX_RATE).nonzero()[0])
+        keep = (lam <= _INVERSION_MAX_RATE).nonzero()[0]
         idx = idx.take(keep)
-        rows = rows.take(keep, axis=1)
+        lam = lam.take(keep)
+    k = 0                               # terms tried by every undecided draw
+    while idx.size > _VECTOR_MIN_DRAWS or (k == 0 and idx.size):
+        block = np.empty((2, _BLOCK_TERMS, idx.size))
+        terms, lefts = block            # P(X = k + 1 + j) and u - P(X <= k + 1 + j)
+        start = 0
+        if k == 0:                      # X = 1 has its own form
+            p = _p_one(lam, out=terms[0])
+            left = u.take(idx, out=lefts[0])
+            left -= p
+            start = 1
+        for j in range(start, _BLOCK_TERMS):
+            p = np.multiply(p, lam, out=terms[j])
+            p /= k + 1 + j
+            left = np.subtract(left, p, out=lefts[j])
+        # a draw goes on past term k + 1 + j while lefts[j] >= 0 and
+        # terms[j] > 0; both stay false once false, so the count of rows
+        # where both hold is the count of leading ones
+        going = lefts >= 0.0
+        going &= terms > 0.0
+        steps = going.sum(axis=0)
+        out[idx] = steps + (k + 1)
+        k += _BLOCK_TERMS
+        keep = (steps == _BLOCK_TERMS).nonzero()[0]
+        idx = idx.take(keep)
+        lam = lam.take(keep)
+        p, left = block[:, -1].take(keep, axis=1)
     if idx.size:
-        out[idx] = _invert_one_by_one(k, *rows)
+        out[idx] = _invert_one_by_one(k, lam, p, left)
     if has_big:
         lam = rate.take(big)
         first = -np.log1p(u.take(big) * np.expm1(-lam))

@@ -282,16 +282,21 @@ class _GivenUniforms:
 
 
 def _inversion_edges(lams, ks, ulps=4):
-    """Rates, and uniforms within ulps of the kernel's float64 P(X <= k)."""
+    """Rates, and uniforms within ulps of the kernel's float64 P(X <= k).
+
+    A run whose uniforms would reach 1 is left out, since a generator's
+    uniforms lie below 1.
+    """
     rate, u = [], []
     for lam in lams:
         p = cdf = float(_p_one(lam))
         for j in range(2, max(ks) + 1):
             p = p * lam / j
             cdf += p
-            if j in ks:
+            run = [cdf + d * np.spacing(cdf) for d in range(-ulps, ulps + 1)]
+            if j in ks and run[-1] < 1.0:
                 rate += [lam] * (2 * ulps + 1)
-                u += [cdf + d * np.spacing(cdf) for d in range(-ulps, ulps + 1)]
+                u += run
     return np.array(rate), np.array(u)
 
 
@@ -315,6 +320,34 @@ def test_truncated_poisson_same_draws_whichever_pass_finishes(monkeypatch):
         monkeypatch.undo()
     # every run of 2 * ulps + 1 uniforms straddles its sign change
     assert np.all(np.ptp(want.reshape(-1, 9), axis=1) == 1)
+
+
+def test_truncated_poisson_same_draws_whatever_the_block_depth(monkeypatch):
+    # a block tries _BLOCK_TERMS terms per numpy call; neither its depth nor
+    # the hand-off to _invert_one_by_one moves a draw or the generator state
+    g = rng_stream(5, 0)
+    chain_like = g.exponential(size=200_000) * 10.0 ** g.uniform(-3.0, 1.3, size=200_000)
+    deep = rng_stream(6, 0).uniform(2.0, 10.0, size=20_000)     # X reaches 23
+    edge_rate, edge_u = _inversion_edges(np.linspace(2.5, 9.5, 60), range(2, 15))
+    assert edge_rate.size > 60 * 9 * 10
+    cases = [(chain_like, lambda: rng_stream(5, 1)),
+             (deep, lambda: rng_stream(6, 1)),
+             (edge_rate, lambda: _GivenUniforms(edge_u)),
+             # at the largest uniform, 118 of these draws end by a term
+             # underflowing to 0, after 75 to 303 terms
+             (np.geomspace(1e-3, 10.0, 2000), _LastUniform)]
+    for rate, make_rng in cases:
+        rng = make_rng()
+        want = sample_truncated_poisson(rate, rng)
+        want_next = rng.random(4)
+        for depth in (1, 2, 3, 4, 5, 8):
+            for least in (0, rate.size + 1):
+                monkeypatch.setattr(totalmass, "_BLOCK_TERMS", depth)
+                monkeypatch.setattr(totalmass, "_VECTOR_MIN_DRAWS", least)
+                rng = make_rng()
+                np.testing.assert_array_equal(sample_truncated_poisson(rate, rng), want)
+                np.testing.assert_array_equal(rng.random(4), want_next)
+        monkeypatch.undo()
 
 
 class _LastUniform:
