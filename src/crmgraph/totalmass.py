@@ -28,16 +28,16 @@ _SURE_ONE = 1.0 - _SURE_ONE_MARGIN      # exact in binary
 # undecided. A numpy call has a fixed cost of a few microseconds, more than
 # finishing a few dozen draws one by one in Python. Per-call medians of 300
 # interleaved calls on the latent rates of a chain after 400 sweeps (2-CPU
-# host, numpy 2.4), with 4-term blocks: sparsity-boundary 0: 290 us, 16:
-# 254, 32: 232, 64: 229, 128: 228; fit-paper 0: 1157, 16: 1101, 32: 1092,
-# 64: 1084, 128: 1094. 32 stays.
+# host, numpy 2.4), with 4-term blocks: sparsity-boundary 0: 314 us, 16:
+# 275, 32: 255, 64: 252, 128: 249; fit-paper 0: 1247, 16: 1207, 32: 1194,
+# 64: 1194, 128: 1208. 32 stays.
 _VECTOR_MIN_DRAWS = 32
 # Each inversion block tries this many consecutive terms. A draw that stops
 # early wastes a few products, but the fixed cost of the block's numpy
 # calls is paid once per block, not once per term. Per-call medians as
-# above, at 1, 2, 3, 4, 5, 6 and 8 terms: sparsity-boundary 366, 274, 247,
-# 235, 237, 243, 238 us; fit-paper 1360, 1175, 1142, 1146, 1158, 1185,
-# 1288 us. One term at a time, before blocks, took 301 and 1203 us.
+# above, at 1, 2, 3, 4, 5, 6 and 8 terms: sparsity-boundary 390, 291, 262,
+# 247, 251, 258, 247 us; fit-paper 1345, 1163, 1130, 1147, 1150, 1187,
+# 1269 us. One term per pass, without blocks, took 331 and 1208 us.
 _BLOCK_TERMS = 4
 
 
@@ -295,14 +295,15 @@ def sample_truncated_poisson(rate, rng):
         raise DomainError("truncated Poisson requires a finite rate > 0")
     u = rng.random(rate.shape)
     out = np.ones(rate.shape, dtype=np.int64)
-    idx = (u >= _sure_one_bound(rate)).nonzero()[0]
-    lam = rate.take(idx)
+    bound = _sure_one_bound(rate)
     has_big = top > _INVERSION_MAX_RATE
     if has_big:
-        big = idx.take((lam > _INVERSION_MAX_RATE).nonzero()[0])
-        keep = (lam <= _INVERSION_MAX_RATE).nonzero()[0]
-        idx = idx.take(keep)
-        lam = lam.take(keep)
+        # all candidates; a bound of 1, which no uniform reaches, keeps
+        # them out of the inversion
+        big = (rate > _INVERSION_MAX_RATE).nonzero()[0]
+        bound[big] = 1.0
+    idx = (u >= bound).nonzero()[0]
+    lam = rate.take(idx)
     k = 0                               # terms tried by every undecided draw
     while idx.size > _VECTOR_MIN_DRAWS or (k == 0 and idx.size):
         block = np.empty((2, _BLOCK_TERMS, idx.size))
@@ -323,9 +324,10 @@ def sample_truncated_poisson(rate, rng):
         going = lefts >= 0.0
         going &= terms > 0.0
         steps = going.sum(axis=0)
-        out[idx] = steps + (k + 1)
+        steps += k + 1                  # the draws' values
+        out[idx] = steps
         k += _BLOCK_TERMS
-        keep = (steps == _BLOCK_TERMS).nonzero()[0]
+        keep = (steps > k).nonzero()[0]
         idx = idx.take(keep)
         lam = lam.take(keep)
         p, left = block[:, -1].take(keep, axis=1)
