@@ -75,7 +75,7 @@ def ess(x):
     d = x - x.mean()
     f = np.fft.rfft(d, 2 * n)
     acov = np.fft.irfft(f.real**2 + f.imag**2, 2 * n)[:n]
-    pairs = (acov[: n - n % 2].reshape(-1, 2).sum(axis=1)) / acov[0]
+    pairs = acov[: n - n % 2].reshape(-1, 2).sum(axis=1) / acov[0]
     nonpositive = np.flatnonzero(pairs <= 0.0)
     stop = nonpositive[0] if nonpositive.size else pairs.size
     tau = 2.0 * np.minimum.accumulate(pairs[:stop]).sum() - 1.0
