@@ -33,15 +33,7 @@ BLOCKS = ("hmc", "hyper", "latent", "record")   # the timed parts of a sweep
 
 @dataclass
 class McmcState:
-    """Current position of one chain.
-
-    weights() is exp(omega). An omega set by init_state or by an accepted
-    hmc_update comes with the weights computed for it, so the hyper and
-    latent blocks of a sweep reuse them. Such an omega and its weights are
-    read-only, and the weights are reused only while state.omega is that
-    very array; so assigning a new omega gives fresh weights, and writing
-    into the old one raises.
-    """
+    """Current position of one chain; weights() is exp(omega)."""
 
     omega: np.ndarray          # log sociabilities, length N
     w_star: float              # remainder mass
@@ -49,22 +41,9 @@ class McmcState:
     sigma: float
     tau: float
     nbar: np.ndarray           # latent counts per undirected edge, >= 1
-    _omega_weights: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def weights(self):
-        if self._omega_weights is not None:
-            omega, w = self._omega_weights
-            # a copy of the state (copy.deepcopy) holds a writeable copy of omega
-            if omega is self.omega and not omega.flags.writeable:
-                return w
         return np.exp(self.omega)
-
-    def _set_omega(self, omega, w):
-        """Make omega, with its weights w = exp(omega), the state's; both become read-only."""
-        omega.flags.writeable = False
-        w.flags.writeable = False
-        self.omega = omega
-        self._omega_weights = (omega, w)
 
 
 @dataclass
@@ -196,8 +175,7 @@ def hmc_update(state, graph, n_steps, stepsize, rng, m=None):
     passes, in one copy of omega, r and one work buffer, with nothing
     allocated per step and state.omega never written. The kinetic energy
     is r.r / (2 eps^2). This is the textbook p += eps/2 grad, q += eps p
-    map, rounded differently. The trajectory starts from state.weights(),
-    and an accepted update hands the state the weights of its end.
+    map, rounded differently.
     """
     if m is None:
         m = compute_m(graph, state.nbar)
@@ -218,8 +196,7 @@ def hmc_update(state, graph, n_steps, stepsize, rng, m=None):
             _grad_and_mass(np.exp(q, out=buf), *target, out=buf)
             r += buf
         q += r
-        w = np.exp(q)
-        buf, s = _grad_and_mass(w, *target, out=buf)
+        buf, s = _grad_and_mass(np.exp(q, out=buf), *target, out=buf)
         log_p = _log_target(q, s, m_sigma, state.tau, state.w_star)
         buf *= 0.5
         r += buf    # the end momentum is -r / eps; its sign drops out of r.r
@@ -227,7 +204,7 @@ def hmc_update(state, graph, n_steps, stepsize, rng, m=None):
     if not np.isfinite(log_r):
         return state, False
     if np.log(rng.uniform()) < log_r:
-        state._set_omega(q, w)
+        state.omega = q
         return state, True
     return state, False
 
@@ -301,17 +278,14 @@ def init_state(graph, rng):
     w_star0 = 0.1
     s_w = w0.sum()
     alpha0 = graph.n_nodes / _psi(sigma0, tau0, 2.0 * s_w + w_star0)
-    omega = np.log(np.maximum(w0, 1e-10))
-    state = McmcState(
-        omega=omega,
+    return McmcState(
+        omega=np.log(np.maximum(w0, 1e-10)),
         w_star=float(w_star0),
         alpha=float(alpha0),
         sigma=float(sigma0),
         tau=float(tau0),
         nbar=np.ones(graph.n_edges, dtype=np.int64),
     )
-    state._set_omega(omega, np.exp(omega))
-    return state
 
 
 class _DualAveraging:

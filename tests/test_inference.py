@@ -226,22 +226,14 @@ def test_hmc_follows_the_textbook_leapfrog():
 def test_weights_never_go_stale():
     z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.5, 1.0), 1e-3, seed=6))
     state = init_state(z, rng_stream(7, 0))
-    # a set omega carries its weights; neither can be written in place
-    assert state.weights() is state.weights()
     assert state.weights().tobytes() == np.exp(state.omega).tobytes()
-    with pytest.raises(ValueError):
-        state.omega[0] += 1.0
-    with pytest.raises(ValueError):
-        state.weights()[0] = 1.0
-    # an accepted HMC update hands over the weights of its end
+    # after an accepted HMC update
     state, accepted = hmc_update(state, z, 10, 1e-3, rng_stream(7, 1))
     assert accepted
-    assert state.weights() is state.weights()
     assert state.weights().tobytes() == np.exp(state.omega).tobytes()
-    # a replaced omega gives fresh weights
+    # after a replaced omega, an omega written in place, and on a copied state
     state.omega = state.omega + 1.0
     assert state.weights().tobytes() == np.exp(state.omega).tobytes()
-    # so does a writeable omega written in place, and a copied state's omega
     state.omega[0] = 3.0
     assert state.weights()[0] == np.exp(3.0)
     state = init_state(z, rng_stream(7, 0))
