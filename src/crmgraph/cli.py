@@ -14,6 +14,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     credible_interval,
+    ess,
     posterior_predictive_degrees,
     psrf,
     scaling_experiment,
@@ -132,11 +133,11 @@ def _fit(args):
     traces = run_chains(read_edge_list(args.graph).graph, cfg)
     for message in stalled_hmc_warnings(traces):
         print(f"warning: {message}", file=sys.stderr)
-    return traces
+    return cfg, traces
 
 
 def _cmd_fit(args):
-    traces = _fit(args)
+    _, traces = _fit(args)
     write_trace_csv(traces, args.out)
     print(f"wrote {sum(len(t) for t in traces)} kept samples to {args.out}")
     return 0
@@ -144,7 +145,7 @@ def _cmd_fit(args):
 
 def _cmd_test_sparsity(args):
     start = time.time()
-    traces = _fit(args)
+    cfg, traces = _fit(args)
     if args.trace_out:
         write_trace_csv(traces, args.trace_out)
     result = sparsity_test(traces)
@@ -153,6 +154,8 @@ def _cmd_test_sparsity(args):
         "ci_sigma": list(result.ci_sigma),
         "max_psrf": result.max_psrf,
         "ess_sigma": result.ess_sigma,
+        "target_accept": cfg.target_accept,
+        "hmc_accept_post_adapt": [t.accept_rates["hmc_post_adapt"] for t in traces],
         "runtime": time.time() - start,
     }
     if result.warning:
@@ -199,6 +202,8 @@ def _cmd_diag(args):
     for name, samples in pooled.items():
         lo, hi = credible_interval(samples, args.level)
         print(f"ci[{name}]=({lo:.6f}, {hi:.6f})")
+    for name in PARAM_FIELDS:
+        print(f"ess[{name}]={sum(ess(t[name]) for t in traces):.1f}")
     if args.out:
         write_csv(args.out, ["param", "psrf"],
                   [[name, f"{val:.17g}"] for name, val in report.psrf.items()])

@@ -246,12 +246,22 @@ def read_trace_csv(path):
     return traces
 
 
+def _strict_json(value):
+    """value with each non-finite float, also one inside a list, as None."""
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 def write_sidecar(out_path, fields):
-    """Provenance metadata for a generated artifact."""
+    """Provenance metadata for a generated artifact, as strict JSON: a
+    non-finite float (a constant chain's NaN ESS, an infinite PSRF) is null."""
     from . import __version__
 
     doc = {"schema_version": SIDECAR_SCHEMA_VERSION, "library_version": __version__}
-    doc.update(fields)
+    doc.update((k, _strict_json(v)) for k, v in fields.items())
     with open(out_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -9,6 +9,8 @@ import pytest
 import crmgraph
 from crmgraph import __version__
 from crmgraph.cli import cli_dispatch, main
+from crmgraph.diagnostics import ess
+from crmgraph.graphio import read_trace_csv
 
 
 def run(argv):
@@ -225,6 +227,10 @@ def test_test_sparsity_json(small_graph, tmp_path, capsys):
     assert 0.0 <= doc["p_sparse"] <= 1.0
     assert doc["ci_sigma"][0] <= doc["ci_sigma"][1]
     assert doc["ess_sigma"] > 0.0
+    # post-adapt HMC acceptance, one rate per chain, beside its target
+    assert doc["target_accept"] == 0.6
+    assert len(doc["hmc_accept_post_adapt"]) == 2
+    assert all(0.3 < rate <= 1.0 for rate in doc["hmc_accept_post_adapt"])
 
 
 def test_diag_and_ppc_from_trace(small_graph, tmp_path, capsys):
@@ -237,6 +243,14 @@ def test_diag_and_ppc_from_trace(small_graph, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "max_psrf=" in captured
     assert first_line(psrf_out) == "param,psrf"
+    # after the intervals, each parameter's ESS summed over the chains
+    lines = captured.splitlines()
+    ci = [l for l in lines if l.startswith("ci[")]
+    traces = read_trace_csv(trace)
+    expected = [f"ess[{k}]={sum(ess(t[k]) for t in traces):.1f}"
+                for k in ("alpha", "sigma", "tau", "w_star")]
+    assert lines[lines.index(ci[-1]) + 1:] == expected
+    assert all(float(l.split("=")[1]) > 0.0 for l in expected)
 
     ppc_out = str(tmp_path / "ppc.csv")
     assert run(["ppc", trace, "--graph", small_graph, "--n-draws", "20",

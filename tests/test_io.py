@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -5,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from crmgraph.diagnostics import sparsity_test
 from crmgraph.errors import DomainError, EmptyGraphError, ParseError, SchemaError
 from crmgraph.graphs import UndirectedGraph
 from crmgraph.graphio import (
@@ -12,6 +15,7 @@ from crmgraph.graphio import (
     read_edge_list,
     read_trace_csv,
     write_edge_list,
+    write_sidecar,
     write_trace_csv,
 )
 from crmgraph.inference import ChainTrace
@@ -289,3 +293,23 @@ def test_trace_csv_parse_speed(tmp_path):
     elapsed = time.time() - start
     assert sum(len(t) for t in back) == 120000
     assert elapsed < 2.0
+
+
+def test_sidecar_writes_non_finite_floats_as_null(tmp_path):
+    # a constant chain has no ESS (nan), and chains constant at different
+    # values have an infinite PSRF
+    traces = [ChainTrace(records={"sigma": np.full(300, s)}, chain_id=c)
+              for c, s in enumerate((0.25, 0.5))]
+    result = sparsity_test(traces)
+    assert np.isnan(result.ess_sigma) and result.max_psrf == np.inf
+    path = tmp_path / "sparsity.json"
+    write_sidecar(str(path), {**dataclasses.asdict(result),
+                              "hmc_accept_post_adapt": [0.74, float("nan")]})
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc["ess_sigma"] is None and doc["max_psrf"] is None
+    assert doc["hmc_accept_post_adapt"] == [0.74, None]
+    assert doc["ci_sigma"] == [0.25, 0.5] and doc["p_sparse"] == 1.0
