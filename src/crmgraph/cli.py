@@ -151,7 +151,7 @@ def _cmd_test_sparsity(args):
     result = sparsity_test(traces)
     doc = {
         "p_sparse": result.p_sparse,
-        "ci_sigma": list(result.ci_sigma),
+        "ci_sigma": result.ci_sigma,
         "max_psrf": result.max_psrf,
         "ess_sigma": result.ess_sigma,
         "target_accept": cfg.target_accept,
