@@ -5,7 +5,7 @@ on (0, inf). Everything here is deterministic; samplers live in totalmass.py.
 """
 
 import numpy as np
-from scipy.special import exp1, gamma as gammafn, gammainc, gammaincc, gammaln
+from scipy.special import exp1, exprel, gamma as gammafn, gammainc, gammaincc, gammaln
 
 from .errors import DomainError, NotInvertibleError
 
@@ -130,17 +130,16 @@ def laplace_exponent(params, t):
 def _psi(sigma, tau, t):
     """laplace_exponent's formula on unchecked floats or arrays, t >= 0.
 
-    Where a power overflows, the result is what numpy floats give (inf, or
-    nan where two infinities cancel, with numpy's warnings), also for
-    plain Python floats, whose power raises OverflowError instead.
+    tau^sigma L exprel(sigma L) with L = log1p(t / tau) keeps every digit as
+    sigma -> 0, on plain and numpy floats alike; for tau = 0, L is infinite
+    and psi is t^sigma / sigma. It is inf where tau^sigma overflows, and nan
+    there at t = 0 (numpy's inf * 0, with its warning). Where t / tau passes
+    1.8e308 it is inf, or nan for sigma < 0; no sampler reaches either case.
     """
-    if sigma == 0.0:
-        return np.log1p(t / tau)
-    try:
-        return ((t + tau) ** sigma - tau**sigma) / sigma
-    except OverflowError:
-        t, tau = np.float64(t), np.float64(tau)
-        return ((t + tau) ** sigma - tau**sigma) / sigma
+    if tau == 0.0:
+        return np.power(t, sigma) / sigma
+    big_l = np.log1p(t / tau)
+    return np.power(tau, sigma) * big_l * exprel(sigma * big_l)
 
 
 def expected_truncation_mass(params, eps):

@@ -20,7 +20,7 @@ same way, a draw that expects more than MAX_EXPECTED_PROPOSALS CRM proposals.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln
+from scipy.special import exprel, gammaincinv, gammaln
 
 from .errors import DomainError
 from .graphs import CrmSample, DirectedMultigraph, compact_graph, to_undirected
@@ -166,7 +166,7 @@ def _crm_weights(params, eps, rng):
     big_l = np.log(b / eps)
     r = abs(s) * big_l
     anchor = eps if s >= 0 else b
-    length = -np.expm1(-r) / abs(s) if s != 0.0 else big_l
+    length = big_l * exprel(-r)     # -expm1(-r) / |sigma|, big_l at sigma = 0
     mean1 = np.exp(log_c - s * np.log(anchor)) * length
 
     # (b, inf), in units v = tau w with v0 = tau b >= 1: the density

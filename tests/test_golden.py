@@ -24,7 +24,7 @@ from crmgraph.simulate import (
 )
 from crmgraph.totalmass import sample_truncated_poisson
 
-RUN_CHAIN_SHA256 = "65b166204c1994e479304dcfde53947bda4985a8a2c5b07000484d684092ca7b"
+RUN_CHAIN_SHA256 = "35f809e00619a6672f2537911f935f7415a351b7c45f83c9b403297999258493"
 SAMPLE_GRAPH_SHA256 = "b3f65d4d61d31ac61b40ea96f375c62d1f30e9e0eb088e432702f6ac1a1cd749"
 TRUNCATED_POISSON_SHA256 = "049764308a3e09e11394c0990c7a95362619b6ebdb8eccaff544f037832af984"
 CHAIN_LIKE_POISSON_SHA256 = "9820943be91fd7445382c5374b3e7e967d27d211a8335c1fb3c2f9f276dc2244"

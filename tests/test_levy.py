@@ -159,7 +159,7 @@ def test_psi_is_laplace_exponent_bit_for_bit():
 
 def test_psi_overflows_to_inf_on_plain_floats():
     # tau**sigma leaves a double at tau = 1e-300 for sigma below about -1.03;
-    # plain Python floats raise OverflowError there, numpy floats give inf
+    # _psi takes its powers in numpy, so plain Python floats give inf there too
     with np.errstate(over="ignore", invalid="ignore"):
         for s in np.linspace(-5.0, -1.03, 60).tolist():
             params = GgpParams(1.0, s, 1e-300)
@@ -170,6 +170,26 @@ def test_psi_overflows_to_inf_on_plain_floats():
                 assert got.tobytes() == np.float64(laplace_exponent(params, t)).tobytes()
                 if t > 0.0:
                     assert got == np.inf, (s, t)
+
+
+def test_laplace_exponent_matches_mpmath():
+    # ((t + tau)^sigma - tau^sigma) / sigma cancels as sigma -> 0 from either
+    # side: taken as written in doubles it is 0 at |sigma| = 1e-16
+    mpmath = pytest.importorskip("mpmath")
+    sigmas = [0.0, 1e-3, 0.5, 0.9, -0.5, -3.0]
+    sigmas += [sign * s for s in (1e-16, 1e-14, 1e-12, 1e-9) for sign in (1.0, -1.0)]
+    grid = [(s, tau) for s in sigmas for tau in (1e-6, 1.0, 1e3)]
+    grid += [(s, 0.0) for s in (1e-3, 0.5, 0.9)]
+    with mpmath.workdps(50):
+        for s, tau in grid:
+            for t in (1e-8, 1.0, 1e4):
+                sm, taum, tm = mpmath.mpf(s), mpmath.mpf(tau), mpmath.mpf(t)
+                if s == 0.0:
+                    want = mpmath.log1p(tm / taum)
+                else:
+                    want = ((tm + taum) ** sm - taum**sm) / sm
+                got = laplace_exponent(GgpParams(1.0, s, tau), t)
+                assert abs(got - want) <= 4e-15 * want, (s, tau, t)
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)
