@@ -32,11 +32,12 @@ def _log_upper_gamma(a, x):
     xs = x[small]
     if a > 1e-10:
         out[small] = np.log(gammaincc(a, xs) * gammafn(a))
-    elif abs(a) <= 1e-10:
-        # the recurrence below cancels like eps/|a|; Gamma(a,x) -> E1(x) + O(a)
+    elif a >= -1e-6:
+        # Gamma(a, x) = E1(x) + O(a), off by about 7|a| in log; the recurrence
+        # below cancels, off by 4e-6 at a = -1e-6 and 5e-2 at -1e-10
         out[small] = np.log(exp1(xs))
     else:
-        # a in (-1, 0): recurrence from Gamma(a+1, x); its cancellation grows
+        # a in (-1, -1e-6): recurrence from Gamma(a+1, x); its cancellation grows
         # like eps * x / |a|
         out[small] = np.log(
             (gammaincc(a + 1.0, xs) * gammafn(a + 1.0) - xs**a * np.exp(-xs)) / a

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 from crmgraph.errors import DomainError, NotInvertibleError
 from crmgraph.levy import (
+    _log_upper_gamma,
     _psi,
     expected_truncation_mass,
     inv_tail_intensity,
@@ -190,6 +191,18 @@ def test_laplace_exponent_matches_mpmath():
                     want = ((tm + taum) ** sm - taum**sm) / sm
                 got = laplace_exponent(GgpParams(1.0, s, tau), t)
                 assert abs(got - want) <= 4e-15 * want, (s, tau, t)
+
+
+def test_log_upper_gamma_matches_mpmath():
+    # a = -sigma: the recurrence from Gamma(a + 1, x) cancels for small
+    # negative a, and E1(x) stands in for Gamma(a, x) down to a = -1e-6
+    mpmath = pytest.importorskip("mpmath")
+    x = np.geomspace(1e-6, 299.0, 40)
+    with mpmath.workdps(40):
+        for a in (-0.5, -1e-3, -1e-5, -1.01e-6, -1e-6, -1e-7, -1e-8, -1e-9, -1.01e-10,
+                  0.0, 1e-10, 1e-6, 0.5):
+            want = np.array([float(mpmath.log(mpmath.gammainc(a, xi))) for xi in x])
+            assert np.max(np.abs(_log_upper_gamma(a, x) - want)) <= 1e-5, a
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)
