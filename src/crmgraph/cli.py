@@ -154,6 +154,7 @@ def _cmd_test_sparsity(args):
         "ci_sigma": result.ci_sigma,
         "max_psrf": result.max_psrf,
         "ess_sigma": result.ess_sigma,
+        "mcse_p_sparse": result.mcse_p_sparse,
         "target_accept": cfg.target_accept,
         "hmc_accept_post_adapt": [t.accept_rates["hmc_post_adapt"] for t in traces],
         "runtime": time.time() - start,

@@ -37,6 +37,7 @@ class SparsityTestResult:
     ci_sigma: tuple                 # equal-tailed 99% interval for sigma
     max_psrf: float = None
     ess_sigma: float = None         # sum over chains of sigma's ess
+    mcse_p_sparse: float = None     # Monte Carlo standard error of p_sparse
     warning: str = None
 
 
@@ -151,17 +152,29 @@ def stalled_hmc_warnings(traces):
     return out
 
 
+def _summed_ess(chains):
+    """Sum over chains of ess, None when a chain has fewer than 4 draws."""
+    try:
+        return sum(ess(x) for x in chains)
+    except TooFewSamplesError:
+        return None
+
+
 def sparsity_test(traces):
     """Pr(sigma >= 0 | data) from pooled kept draws, with a 99% CI for sigma.
 
     The warning, if any, names chains that may not have mixed: a PSRF of
     sigma above 1.1, or a stalled HMC block (stalled_hmc_warnings).
     ess_sigma is the sum of each chain's ess of sigma, None when a chain
-    has fewer than 4 kept draws.
+    has fewer than 4 kept draws. mcse_p_sparse is sqrt(p (1 - p) / E), E
+    the sum of each chain's ess of the indicator sigma >= 0: 0.0 when every
+    draw falls on one side, None when a chain has fewer than 4 kept draws
+    or, with p in (0, 1), an indicator that never changes.
     """
     if sum(len(t) for t in traces) == 0:
         raise TooFewSamplesError("sparsity test requires kept draws")
-    sigma = np.concatenate([np.asarray(t["sigma"], dtype=float) for t in traces])
+    sigmas = [np.asarray(t["sigma"], dtype=float) for t in traces]
+    sigma = np.concatenate(sigmas)
     p_sparse = float(np.mean(sigma >= 0.0))
     ci = credible_interval(sigma, 0.99)
     max_r, messages = None, stalled_hmc_warnings(traces)
@@ -172,12 +185,14 @@ def sparsity_test(traces):
                 messages.insert(0, f"max PSRF {max_r:.3f} exceeds 1.1; chains may not have mixed")
         except TooFewSamplesError:
             pass
-    try:
-        ess_sigma = sum(ess(t["sigma"]) for t in traces)
-    except TooFewSamplesError:
-        ess_sigma = None
+    mcse = 0.0
+    if 0.0 < p_sparse < 1.0:
+        ess_sparse = _summed_ess([x >= 0.0 for x in sigmas])
+        ok = ess_sparse is not None and not np.isnan(ess_sparse)
+        mcse = float(np.sqrt(p_sparse * (1.0 - p_sparse) / ess_sparse)) if ok else None
     return SparsityTestResult(p_sparse=p_sparse, ci_sigma=ci, max_psrf=max_r,
-                              ess_sigma=ess_sigma, warning="; ".join(messages) or None)
+                              ess_sigma=_summed_ess(sigmas), mcse_p_sparse=mcse,
+                              warning="; ".join(messages) or None)
 
 
 def degree_bins(max_degree):

@@ -220,7 +220,7 @@ def test_test_sparsity_json(small_graph, tmp_path, capsys):
     assert code == 0
     assert first_line(trace) == "iteration,chain,alpha,sigma,tau,w_star,log_post"
     doc = json.loads(Path(out).read_text())
-    for key in ("p_sparse", "ci_sigma", "max_psrf", "ess_sigma", "runtime"):
+    for key in ("p_sparse", "ci_sigma", "max_psrf", "ess_sigma", "mcse_p_sparse", "runtime"):
         assert key in doc
     assert doc["schema_version"] == 1 and doc["library_version"] == __version__
     assert list(doc) == sorted(doc)

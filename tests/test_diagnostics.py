@@ -167,6 +167,24 @@ def test_sparsity_test_sums_sigma_ess_over_chains():
     assert sparsity_test([make_trace(n=3), make_trace(n=300)]).ess_sigma is None
 
 
+def test_sparsity_test_mcse_of_p_sparse():
+    # i.i.d. N(0, 1) draws: p is near 1/2 and the indicator's ESS near the
+    # draw count. Over 200 seeds the ratio to sqrt(0.25 / 6000) read 0.96-1.08
+    rng = np.random.default_rng(11)
+    traces = [ChainTrace(records={"sigma": rng.standard_normal(2000)}, chain_id=c)
+              for c in range(3)]
+    res = sparsity_test(traces)
+    assert res.mcse_p_sparse == pytest.approx(np.sqrt(0.25 / 6000), rel=0.2)
+    # every draw on one side: no Monte Carlo error
+    positive = [ChainTrace(records={"sigma": np.abs(t["sigma"])}, chain_id=0) for t in traces]
+    assert sparsity_test(positive).mcse_p_sparse == 0.0
+    # a chain whose indicator never changes while p is in (0, 1), or a chain
+    # with fewer than 4 draws: no estimate
+    assert sparsity_test(traces[:1] + positive[:1]).mcse_p_sparse is None
+    short = ChainTrace(records={"sigma": np.array([-0.1, 0.2, 0.3])}, chain_id=1)
+    assert sparsity_test(traces[:1] + [short]).mcse_p_sparse is None
+
+
 def test_sparsity_test_all_positive():
     t = make_trace(n=300)
     t.records["sigma"] = np.full(300, 0.5)
