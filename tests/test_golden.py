@@ -25,6 +25,9 @@ from crmgraph.simulate import (
 from crmgraph.totalmass import sample_truncated_poisson
 
 RUN_CHAIN_SHA256 = "35f809e00619a6672f2537911f935f7415a351b7c45f83c9b403297999258493"
+# the same chain with no adaptation: the stepsize and the hyper walk keep
+# their starting values, so no adapter rule can move this digest
+UNADAPTED_RUN_CHAIN_SHA256 = "5e314d61ce111ea6aeed655fc4591291f9305b5c9a1e8741b16c0a5a2c0a7704"
 SAMPLE_GRAPH_SHA256 = "b3f65d4d61d31ac61b40ea96f375c62d1f30e9e0eb088e432702f6ac1a1cd749"
 TRUNCATED_POISSON_SHA256 = "049764308a3e09e11394c0990c7a95362619b6ebdb8eccaff544f037832af984"
 CHAIN_LIKE_POISSON_SHA256 = "9820943be91fd7445382c5374b3e7e967d27d211a8335c1fb3c2f9f276dc2244"
@@ -82,6 +85,11 @@ def small_graph():
 def test_run_chain_digest():
     cfg = McmcConfig(n_iter=120, seed=3, thin=2, omega_record_stride=5)
     assert trace_sha256(run_chain(small_graph(), cfg)) == RUN_CHAIN_SHA256
+
+
+def test_unadapted_run_chain_digest():
+    cfg = McmcConfig(n_iter=120, adapt_iters=0, seed=3, thin=2, omega_record_stride=5)
+    assert trace_sha256(run_chain(small_graph(), cfg)) == UNADAPTED_RUN_CHAIN_SHA256
 
 
 def test_sample_graph_truncated_digest():
