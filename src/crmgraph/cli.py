@@ -48,7 +48,6 @@ def _add_fit_args(p):
     p.add_argument("--leapfrog-steps", type=int)
     p.add_argument("--target-accept", type=float)
     p.add_argument("--adapt-iters", type=int)
-    p.add_argument("--rw-sd", type=float)
     p.add_argument("--thin", type=int)
     p.add_argument("--seed", type=int)
 
@@ -157,6 +156,8 @@ def _cmd_test_sparsity(args):
         "mcse_p_sparse": result.mcse_p_sparse,
         "target_accept": cfg.target_accept,
         "hmc_accept_post_adapt": [t.accept_rates["hmc_post_adapt"] for t in traces],
+        "hyper_accept_post_adapt": [t.accept_rates["hyper_post_adapt"] for t in traces],
+        "hyper_walk_sd": [t.meta["hyper_walk_sd"] for t in traces],
         "runtime": time.time() - start,
     }
     if result.warning:

@@ -29,6 +29,8 @@ from .totalmass import sample_tilted_total_mass, sample_truncated_poisson
 PARAM_FIELDS = ("alpha", "sigma", "tau", "w_star")  # McmcState scalars a trace keeps
 TRACE_FIELDS = PARAM_FIELDS + ("log_post",)
 BLOCKS = ("hmc", "hyper", "latent", "record")   # the timed parts of a sweep
+HYPER_WALK_SD0 = 0.02           # the hyper block's walk sd before adaptation
+HYPER_TARGET_ACCEPT = 0.234     # its adapted acceptance (Roberts, Gelman & Gilks 1997)
 
 
 @dataclass
@@ -53,7 +55,6 @@ class McmcConfig:
     leapfrog_steps: int = 10
     target_accept: float = 0.6
     adapt_iters: int = None
-    rw_sd: float = 0.02
     thin: int = 1
     seed: int = 0
     omega_record_stride: int = 0    # 0 disables log-weight snapshots
@@ -72,8 +73,6 @@ class McmcConfig:
                 raise DomainError(f"{name} must be >= {least}, got {value}")
         if not 0.0 < self.target_accept < 1.0:
             raise DomainError("target_accept must be in (0, 1)")
-        if not (np.isfinite(self.rw_sd) and self.rw_sd > 0.0):
-            raise DomainError(f"rw_sd must be finite and > 0, got {self.rw_sd}")
         check_seed(self.seed)
 
 
@@ -209,10 +208,10 @@ def hmc_update(state, graph, n_steps, stepsize, rng, m=None):
     return state, False
 
 
-def hyper_update(state, config, rng):
+def hyper_update(state, walk_sd, rng):
     """Joint MH move on (alpha, sigma, tau, w*) with the tilting proposal.
 
-    tau and 1 - sigma take lognormal random-walk proposals, alpha a gamma
+    tau and 1 - sigma take lognormal walks of log-sd walk_sd, alpha a gamma
     proposal matched to the conditional, and the remainder mass w* is drawn
     from the exponentially tilted total-mass law with tilt 2 sum w + w*;
     the tilting makes every total-mass density cancel from the ratio.
@@ -223,10 +222,10 @@ def hyper_update(state, config, rng):
     n = len(state.omega)
     sigma, tau, w_star = state.sigma, state.tau, state.w_star
 
-    tau_p = tau * np.exp(config.rw_sd * rng.standard_normal())
-    sigma_p = 1.0 - (1.0 - sigma) * np.exp(config.rw_sd * rng.standard_normal())
+    tau_p = tau * np.exp(walk_sd * rng.standard_normal())
+    sigma_p = 1.0 - (1.0 - sigma) * np.exp(walk_sd * rng.standard_normal())
     if not (-np.inf < sigma_p < 1.0 and 0.0 < tau_p < np.inf):
-        return state, False     # exp over- or underflowed: only at a huge rw_sd
+        return state, False     # exp over- or underflowed: only at a huge walk_sd
     tilt = 2.0 * s_w + w_star
     rate_p = _psi(sigma_p, tau_p, tilt)
     alpha_p = float(rng.gamma(n, 1.0 / rate_p))
@@ -318,12 +317,28 @@ class _DualAveraging:
         return float(np.exp(self.log_eps_bar))
 
 
+class _WalkScale:
+    """The hyper walk sd, HYPER_WALK_SD0 exp(log_s), in Robbins-Monro steps
+    log_s += (accepted - HYPER_TARGET_ACCEPT) / sqrt(t) at update t."""
+
+    def __init__(self):
+        self.log_s = 0.0
+        self.t = 0
+        self.sd = HYPER_WALK_SD0
+
+    def update(self, accepted):
+        self.t += 1
+        self.log_s += (float(accepted) - HYPER_TARGET_ACCEPT) / np.sqrt(self.t)
+        self.sd = HYPER_WALK_SD0 * float(np.exp(self.log_s))
+
+
 def run_chain(graph, config, chain_id=0):
     """One chain of the HMC-within-Gibbs sampler on an undirected graph.
 
     Sweep order: HMC on log-weights, joint hyperparameter block, latent
-    counts. The stepsize adapts for the first adapt_iters iterations
-    (which double as burn-in), then freezes. Chain c draws from
+    counts. The stepsize and the hyper walk sd adapt for the first
+    adapt_iters iterations (which double as burn-in), then freeze into
+    meta["stepsize"] and meta["hyper_walk_sd"]. Chain c draws from
     rng_stream(config.seed, c).
 
     meta["timing"] holds the wall seconds and calls of each block in
@@ -340,6 +355,7 @@ def run_chain(graph, config, chain_id=0):
     burn = min(config.adapt_iters, config.n_iter)
     eps0 = 0.1 / max(len(state.omega), 1) ** 0.25
     adapter = _DualAveraging(eps0, config.target_accept)
+    walk = _WalkScale()
 
     recs = {k: [] for k in TRACE_FIELDS}
     omega_snaps = []
@@ -357,7 +373,9 @@ def run_chain(graph, config, chain_id=0):
         if adapting:
             adapter.update(accepted[it, 0])
         t1 = clock()
-        state, accepted[it, 1] = hyper_update(state, config, rng)
+        state, accepted[it, 1] = hyper_update(state, walk.sd, rng)
+        if adapting:
+            walk.update(accepted[it, 1])
         t2 = clock()
         state = latent_update(state, graph, rng)
         m = compute_m(graph, state.nbar)
@@ -391,6 +409,7 @@ def run_chain(graph, config, chain_id=0):
             "burn": burn,
             "thin": config.thin,
             "stepsize": adapter.frozen_stepsize,
+            "hyper_walk_sd": walk.sd,
             "timing": {
                 b: {"seconds": spent[b], "calls": len(kept) if b == "record" else config.n_iter}
                 for b in BLOCKS

@@ -280,6 +280,37 @@ def test_sparsity_verdict_on_ggp_graphs(name):
     assert ok, detail
 
 
+CALIBRATION_RUNS = 16
+CALIBRATION_FACTOR = 1.75
+
+
+def test_sparsity_test_error_bar_matches_the_run_to_run_spread():
+    """The reported mcse_p_sparse is as large as p_sparse's spread over runs.
+
+    Sixteen independent 2-chain runs of 1000 iterations (250 adapting), as
+    the benchmark runs test-sparsity, fit one gamma-process (sigma = 0)
+    graph of 92 nodes, where p_sparse is near 0.35. The sd of p_sparse
+    over the runs must be within a factor CALIBRATION_FACTOR = 1.75 of the
+    root mean square of the reported errors, either way. With 16 runs the
+    sd is itself off by about 18% (1 / sqrt(2 * 15)), so a calibrated error
+    lies within the factor by more than 3 of those errors. A sampler whose
+    chains mix more slowly than their ESS says fails it: with the hyper
+    block's walk fixed at sd 0.02 the ratio read 2.44 on these runs.
+    """
+    z = sample_graph(SimConfig(params=GgpParams(30.0, 0.0, 1.0), seed=2))
+    runs = [sparsity_test(run_chains(z, McmcConfig(n_iter=1000, n_chains=2, seed=s)))
+            for s in range(CALIBRATION_RUNS)]
+    p = np.array([r.p_sparse for r in runs])
+    rms = np.sqrt(np.mean(np.array([r.mcse_p_sparse for r in runs], dtype=float) ** 2))
+    ratio = p.std(ddof=1) / rms             # a missing error is NaN, and fails
+    ok = 1.0 / CALIBRATION_FACTOR <= ratio <= CALIBRATION_FACTOR
+    detail = (f"{z.n_nodes} nodes, {len(p)} runs: p_sparse mean {p.mean():.3f}, sd "
+              f"{p.std(ddof=1):.3f}; reported error RMS {rms:.3f}; sd / RMS = {ratio:.2f} "
+              f"(within {CALIBRATION_FACTOR} either way)")
+    print(f"{'PASS' if ok else 'FAIL'} sparsity error bar: {detail}")
+    assert ok, detail
+
+
 DATA_FILES = {
     "polblogs": "data/polblogs.txt",
     "USairport": "data/usairport.txt",

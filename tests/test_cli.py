@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from crmgraph import __version__
 from crmgraph.cli import cli_dispatch, main
 from crmgraph.diagnostics import ess
 from crmgraph.graphio import read_trace_csv
+from crmgraph.params import GgpParams
+from crmgraph.simulate import SimConfig, sample_graph
 
 
 def run(argv):
@@ -28,6 +31,12 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_unknown_flag_exits_2(capsys):
     assert run(["sample", "--alpha", "1", "--sigma", "0.5", "--tau", "1",
                 "--bogus"]) == 2
+
+
+def test_rw_sd_flag_is_gone(tmp_path, capsys):
+    # the hyper block adapts its own walk sd, so --rw-sd is an unknown flag
+    assert run(["fit", str(tmp_path / "g.txt"), "--rw-sd", "0.1"]) == 2
+    assert "--rw-sd" in capsys.readouterr().err
 
 
 def test_missing_file_exits_1(tmp_path, capsys):
@@ -65,8 +74,6 @@ def test_sample_past_the_proposal_cap_exits_1(tmp_path, capsys):
     ["ppc", "{empty_trace}"],
     # alpha tau^sigma / -sigma jumps, 0.01 to 0.04 on average: the graphs are empty
     ["scaling", "--sigma", "-1", "--tau", "1", "--alpha-grid", "0.01", "0.02", "0.04"],
-    ["fit", "{graph}", "--n-iter", "20", "--rw-sd", "nan"],
-    ["fit", "{graph}", "--n-iter", "20", "--rw-sd", "-0.1"],
     # one distinct alpha: the log-log slope is undefined
     ["scaling", "--sigma", "0.5", "--tau", "1", "--alpha-grid", "2", "2", "2"],
     ["sample", "--alpha", "5", "--sigma", "0.5", "--tau", "1", "--seed", "-1", "--out", "x.txt"],
@@ -76,7 +83,7 @@ def test_sample_past_the_proposal_cap_exits_1(tmp_path, capsys):
     ["diag", "{bad_trace}"],
     ["fit", "{latin1_graph}", "--n-iter", "20"],
 ], ids=["n-chains-0", "negative-adapt-iters", "ppc-of-empty-trace", "scaling-empty-graphs",
-        "rw-sd-nan", "rw-sd-negative", "scaling-one-distinct-alpha", "sample-negative-seed",
+        "scaling-one-distinct-alpha", "sample-negative-seed",
         "fit-negative-seed", "leapfrog-steps-0", "target-accept-1", "diag-non-numeric-trace",
         "fit-latin-1-id"])
 def test_bad_run_settings_exit_1(tmp_path, capsys, monkeypatch, argv):
@@ -123,6 +130,18 @@ def test_sample_writes_graph_and_sidecar(tmp_path, capsys):
     assert sidecar["alpha"] == 30 and sidecar["sigma"] == 0.5
     assert sidecar["n_edges"] == len(lines)
     assert "library_version" in sidecar and "timestamp" in sidecar
+
+
+@pytest.mark.parametrize("path,sigma", [("urn", "0"), ("kallenberg", "-0.5")])
+def test_sample_path_reaches_the_sampler(tmp_path, capsys, path, sigma):
+    out = str(tmp_path / "g.txt")
+    assert run(["sample", "--alpha", "20", "--sigma", sigma, "--tau", "1", "--seed", "4",
+                "--path", path, "--out", out]) == 0
+    sidecar = json.loads(Path(out + ".json").read_text())
+    assert sidecar["path"] == path
+    z = sample_graph(SimConfig(GgpParams(20.0, float(sigma), 1.0), seed=4, path=path))
+    assert sidecar["n_edges"] == z.n_edges > 0
+    assert sidecar["n_nodes"] == z.n_nodes
 
 
 def test_sample_deterministic_golden(tmp_path):
@@ -192,6 +211,15 @@ def test_fit_writes_trace(small_graph, tmp_path, capsys):
     assert n_rows == 2 * 150  # burn-in of n_iter/4 discarded per chain
 
 
+def test_fit_thin_keeps_every_third_draw(small_graph, tmp_path, capsys):
+    out = str(tmp_path / "trace.csv")
+    assert run(["fit", small_graph, "--n-iter", "101", "--n-chains", "2", "--thin", "3",
+                "--seed", "0", "--out", out]) == 0
+    traces = read_trace_csv(out)
+    # 25 adapting iterations are dropped, then every third of the other 76
+    assert [len(t) for t in traces] == [math.ceil((101 - 25) / 3)] * 2
+
+
 @pytest.mark.parametrize("target,n_warnings", [("0.3", 1), ("0.6", 0)])
 def test_fit_warns_once_per_stalled_chain(tmp_path, capsys, target, n_warnings):
     graph = str(tmp_path / "g.txt")
@@ -231,6 +259,10 @@ def test_test_sparsity_json(small_graph, tmp_path, capsys):
     assert doc["target_accept"] == 0.6
     assert len(doc["hmc_accept_post_adapt"]) == 2
     assert all(0.3 < rate <= 1.0 for rate in doc["hmc_accept_post_adapt"])
+    # the hyper block's post-adapt acceptance and frozen walk sd, one per chain
+    assert len(doc["hyper_accept_post_adapt"]) == len(doc["hyper_walk_sd"]) == 2
+    assert all(0.0 < rate < 1.0 for rate in doc["hyper_accept_post_adapt"])
+    assert all(sd > 0.0 for sd in doc["hyper_walk_sd"])
 
 
 def test_diag_and_ppc_from_trace(small_graph, tmp_path, capsys):

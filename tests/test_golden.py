@@ -24,7 +24,7 @@ from crmgraph.simulate import (
 )
 from crmgraph.totalmass import sample_truncated_poisson
 
-RUN_CHAIN_SHA256 = "35f809e00619a6672f2537911f935f7415a351b7c45f83c9b403297999258493"
+RUN_CHAIN_SHA256 = "d7b4195495532ff917a287f510a3ddb72432f5e417c48f015b7c26b28a08f6a8"
 # the same chain with no adaptation: the stepsize and the hyper walk keep
 # their starting values, so no adapter rule can move this digest
 UNADAPTED_RUN_CHAIN_SHA256 = "5e314d61ce111ea6aeed655fc4591291f9305b5c9a1e8741b16c0a5a2c0a7704"

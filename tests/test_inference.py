@@ -292,13 +292,12 @@ def test_latent_exact_mean():
 def test_hyper_update_moves_and_keeps_validity():
     cfg = SimConfig(params=GgpParams(30, 0.5, 1.0), truncation_eps=1e-4, seed=5)
     z, _ = sample_undirected_ggp(cfg)
-    mc = McmcConfig(n_iter=10, seed=0, rw_sd=0.1)
     rng = rng_stream(104, 0)
     state = init_state(z, rng)
     latent_update(state, z, rng)
     n_acc = 0
     for _ in range(300):
-        state, acc = hyper_update(state, mc, rng)
+        state, acc = hyper_update(state, 0.1, rng)
         n_acc += acc
         assert state.alpha > 0 and state.sigma < 1 and state.tau > 0
         assert state.w_star >= 0
@@ -306,15 +305,34 @@ def test_hyper_update_moves_and_keeps_validity():
 
 
 def test_hyper_update_rejects_an_overflowed_proposal():
-    # at this scale exp(rw_sd z) over- or underflows, so sigma' = -inf or
+    # at this scale exp(walk_sd z) over- or underflows, so sigma' = -inf or
     # 1 and tau' = inf or 0: outside the region, every proposal is rejected
     state, _ = two_node_state()
     rng = rng_stream(105, 0)
     for _ in range(50):
         with np.errstate(over="ignore"):
-            state, acc = hyper_update(state, McmcConfig(n_iter=1, rw_sd=1e6), rng)
+            state, acc = hyper_update(state, 1e6, rng)
         assert not acc
     assert (state.alpha, state.sigma, state.tau) == (1.0, 0.5, 1.0)
+
+
+def test_every_kept_hyper_move_uses_the_frozen_walk_sd(monkeypatch):
+    import crmgraph.inference as inf
+
+    sds = []
+    original = inf.hyper_update
+
+    def recorded(state, walk_sd, rng):
+        sds.append(walk_sd)
+        return original(state, walk_sd, rng)
+
+    monkeypatch.setattr(inf, "hyper_update", recorded)
+    z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.0, 1.0), 1e-3, seed=6))
+    trace = run_chain(z, McmcConfig(n_iter=120, adapt_iters=40, seed=2))
+    burn = trace.meta["burn"]
+    assert sds[0] == inf.HYPER_WALK_SD0 and len(sds) == 120
+    assert all(a != b for a, b in zip(sds[:burn], sds[1:burn + 1]))   # each adapting move steps it
+    assert sds[burn:] == [trace.meta["hyper_walk_sd"]] * (120 - burn)
 
 
 def test_run_chain_times_each_block():
