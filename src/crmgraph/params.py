@@ -7,6 +7,9 @@ import numpy as np
 
 from .errors import DomainError, NonPositiveAlphaError, OutOfRegionError
 
+# numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max), about 9.2e18
+MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class GgpParams:

@@ -30,13 +30,11 @@ from .levy import (
     tail_intensity,
     total_tail_mass,
 )
-from .params import GgpParams, check_seed, rng_stream
+from .params import MAX_POISSON_MEAN, GgpParams, check_seed, rng_stream
 
 DEFAULT_EPS = 1e-6
-# numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max), about 9.2e18
-_MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
-# the largest W* whose square stays at or below it
-_MAX_TOTAL_MASS = np.nextafter(np.sqrt(_MAX_POISSON_MEAN), 0.0)
+# the largest W* whose square stays at or below numpy's Poisson limit
+_MAX_TOTAL_MASS = np.nextafter(np.sqrt(MAX_POISSON_MEAN), 0.0)
 # a truncated draw that expects more CRM proposals than this is refused before
 # it allocates: at 16 bytes per proposal its atom draw would peak at 16 GB
 MAX_EXPECTED_PROPOSALS = 1e9
@@ -74,9 +72,9 @@ class SimConfig:
 
 
 def _check_poisson_mean(mean, what):
-    if not 0 <= mean <= _MAX_POISSON_MEAN:
+    if not 0 <= mean <= MAX_POISSON_MEAN:
         raise DomainError(f"{what} has Poisson mean {mean:.6g}, outside numpy's "
-                          f"range [0, {_MAX_POISSON_MEAN:.6g}]")
+                          f"range [0, {MAX_POISSON_MEAN:.6g}]")
 
 
 def _poisson_count(mean, rng, what):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRegionError
 from .levy import total_tail_mass
+from .params import MAX_POISSON_MEAN
 
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 # sample_truncated_poisson inverts the CDF at rates up to this; above it
@@ -287,12 +288,15 @@ def sample_truncated_poisson(rate, rng):
     A stage with no draws to work on is skipped. So when no rate exceeds
     _INVERSION_MAX_RATE, a call uses the generator exactly as
     rng.random(len(rate)) does.
+
+    A rate outside (0, MAX_POISSON_MEAN], where numpy's Poisson stops, or
+    NaN raises DomainError before anything is drawn.
     """
     scalar = np.isscalar(rate)
     rate = np.atleast_1d(np.asarray(rate, dtype=float))
     top = rate.max(initial=0.0)
-    if rate.size and not (rate.min() > 0.0 and np.isfinite(top)):
-        raise DomainError("truncated Poisson requires a finite rate > 0")
+    if rate.size and not (rate.min() > 0.0 and top <= MAX_POISSON_MEAN):     # NaN fails both
+        raise DomainError(f"truncated Poisson requires rates in (0, {MAX_POISSON_MEAN:.6g}]")
     u = rng.random(rate.shape)
     out = np.ones(rate.shape, dtype=np.int64)
     bound = _sure_one_bound(rate)

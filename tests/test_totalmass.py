@@ -10,7 +10,7 @@ from scipy.stats import kstest, ks_2samp
 from crmgraph import totalmass
 from crmgraph.errors import DomainError, OutOfRegionError
 from crmgraph.levy import laplace_exponent
-from crmgraph.params import GgpParams, rng_stream
+from crmgraph.params import MAX_POISSON_MEAN, GgpParams, rng_stream
 from crmgraph.totalmass import (
     _INVERSION_MAX_RATE,
     _SURE_ONE_MARGIN,
@@ -385,6 +385,17 @@ def test_truncated_poisson_rejects_bad_rate():
             sample_truncated_poisson(bad, rng)
         with pytest.raises(DomainError):
             sample_truncated_poisson(np.array([1.0, bad, 2.0]), rng)
+
+
+def test_truncated_poisson_rejects_a_rate_past_numpys_poisson_limit():
+    # numpy's own Poisson raises ValueError here; the check comes before any draw
+    rng = rng_stream(14, 1)
+    for bad in (1e19, np.nextafter(MAX_POISSON_MEAN, np.inf)):
+        with pytest.raises(DomainError):
+            sample_truncated_poisson(np.array([1.0, bad]), rng)
+    assert rng.random() == rng_stream(14, 1).random()
+    x = sample_truncated_poisson(np.array([1.0, MAX_POISSON_MEAN]), rng)
+    assert x[1] > MAX_POISSON_MEAN / 2
 
 
 def test_truncated_poisson_empty_rate():
