@@ -33,9 +33,11 @@ def test_unknown_flag_exits_2(capsys):
                 "--bogus"]) == 2
 
 
-def test_rw_sd_flag_is_gone(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["nan", "-0.1", "0.1"],
+                         ids=["rw-sd-nan", "rw-sd-negative", "rw-sd-valid"])
+def test_rw_sd_flag_is_gone(tmp_path, capsys, value):
     # the hyper block adapts its own walk sd, so --rw-sd is an unknown flag
-    assert run(["fit", str(tmp_path / "g.txt"), "--rw-sd", "0.1"]) == 2
+    assert run(["fit", str(tmp_path / "g.txt"), "--rw-sd", value]) == 2
     assert "--rw-sd" in capsys.readouterr().err
 
 
