@@ -30,7 +30,7 @@ from .graphio import (
     write_sidecar,
     write_trace_csv,
 )
-from .inference import PARAM_FIELDS, McmcConfig, run_chains
+from .inference import HMC_TARGET_ACCEPT, PARAM_FIELDS, McmcConfig, run_chains
 from .params import GgpParams
 from .simulate import DEFAULT_EPS, SIM_PATHS, SimConfig, sample_graph
 
@@ -45,8 +45,6 @@ def _add_fit_args(p):
     p.add_argument("graph", help="edge-list file to fit")
     p.add_argument("--n-iter", type=int, default=20000)
     p.add_argument("--n-chains", type=int)
-    p.add_argument("--leapfrog-steps", type=int)
-    p.add_argument("--target-accept", type=float)
     p.add_argument("--adapt-iters", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--seed", type=int)
@@ -132,11 +130,11 @@ def _fit(args):
     traces = run_chains(read_edge_list(args.graph).graph, cfg)
     for message in stalled_hmc_warnings(traces):
         print(f"warning: {message}", file=sys.stderr)
-    return cfg, traces
+    return traces
 
 
 def _cmd_fit(args):
-    _, traces = _fit(args)
+    traces = _fit(args)
     write_trace_csv(traces, args.out)
     print(f"wrote {sum(len(t) for t in traces)} kept samples to {args.out}")
     return 0
@@ -144,7 +142,7 @@ def _cmd_fit(args):
 
 def _cmd_test_sparsity(args):
     start = time.time()
-    cfg, traces = _fit(args)
+    traces = _fit(args)
     if args.trace_out:
         write_trace_csv(traces, args.trace_out)
     result = sparsity_test(traces)
@@ -154,7 +152,7 @@ def _cmd_test_sparsity(args):
         "max_psrf": result.max_psrf,
         "ess_sigma": result.ess_sigma,
         "mcse_p_sparse": result.mcse_p_sparse,
-        "target_accept": cfg.target_accept,
+        "target_accept": HMC_TARGET_ACCEPT,
         "hmc_accept_post_adapt": [t.accept_rates["hmc_post_adapt"] for t in traces],
         "hyper_accept_post_adapt": [t.accept_rates["hyper_post_adapt"] for t in traces],
         "hyper_walk_sd": [t.meta["hyper_walk_sd"] for t in traces],

@@ -137,7 +137,7 @@ def stalled_hmc_warnings(traces):
     """One message per chain whose HMC accepted fewer than MIN_HMC_ACCEPT of
     its post-adaptation proposals.
 
-    A stepsize adapted toward a low target_accept can freeze where HMC
+    A stepsize adapted over only a few iterations can freeze where HMC
     stops accepting, and the log-weights then never move after burn-in.
     Chains without kept draws or acceptance rates (a trace read back from
     CSV has none) are skipped, and so is a NaN rate (no post-adaptation

@@ -29,6 +29,8 @@ from .totalmass import sample_tilted_total_mass, sample_truncated_poisson
 PARAM_FIELDS = ("alpha", "sigma", "tau", "w_star")  # McmcState scalars a trace keeps
 TRACE_FIELDS = PARAM_FIELDS + ("log_post",)
 BLOCKS = ("hmc", "hyper", "latent", "record")   # the timed parts of a sweep
+LEAPFROG_STEPS = 10             # per HMC update
+HMC_TARGET_ACCEPT = 0.6         # the acceptance the stepsize adapts toward
 HYPER_WALK_SD0 = 0.02           # the hyper block's walk sd before adaptation
 HYPER_TARGET_ACCEPT = 0.234     # its adapted acceptance (Roberts, Gelman & Gilks 1997)
 
@@ -50,10 +52,10 @@ class McmcState:
 
 @dataclass
 class McmcConfig:
+    """Chain lengths, counts and seed; the tuning is this module's constants."""
+
     n_iter: int
     n_chains: int = 3
-    leapfrog_steps: int = 10
-    target_accept: float = 0.6
     adapt_iters: int = None
     thin: int = 1
     seed: int = 0
@@ -62,8 +64,8 @@ class McmcConfig:
     def __post_init__(self):
         if self.adapt_iters is None:
             self.adapt_iters = self.n_iter // 4
-        for name, least in (("n_iter", 0), ("n_chains", 1), ("leapfrog_steps", 1),
-                            ("adapt_iters", 0), ("thin", 1), ("omega_record_stride", 0)):
+        for name, least in (("n_iter", 0), ("n_chains", 1), ("adapt_iters", 0), ("thin", 1),
+                            ("omega_record_stride", 0)):
             value = getattr(self, name)
             try:
                 value = operator.index(value)
@@ -71,9 +73,11 @@ class McmcConfig:
                 raise DomainError(f"{name} must be an integer, got {value!r}") from None
             if value < least:
                 raise DomainError(f"{name} must be >= {least}, got {value}")
-        if not 0.0 < self.target_accept < 1.0:
-            raise DomainError("target_accept must be in (0, 1)")
         check_seed(self.seed)
+
+    @property
+    def target_accept(self):
+        return HMC_TARGET_ACCEPT
 
 
 @dataclass
@@ -288,22 +292,20 @@ def init_state(graph, rng):
 
 
 class _DualAveraging:
-    """Nesterov dual averaging of the leapfrog stepsize toward a target rate."""
+    """Nesterov dual averaging of the leapfrog stepsize toward HMC_TARGET_ACCEPT."""
 
     GAMMA, T0, KAPPA = 0.05, 10.0, 0.75
 
-    def __init__(self, eps0, target):
+    def __init__(self, eps0):
         self.mu = np.log(10.0 * eps0)
-        self.target = target
-        self.log_eps = np.log(eps0)
-        self.log_eps_bar = np.log(eps0)
+        self.log_eps = self.log_eps_bar = np.log(eps0)
         self.h_bar = 0.0
         self.t = 0
 
     def update(self, accepted):
         self.t += 1
         frac = 1.0 / (self.t + self.T0)
-        self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - float(accepted))
+        self.h_bar = (1.0 - frac) * self.h_bar + frac * (HMC_TARGET_ACCEPT - float(accepted))
         self.log_eps = self.mu - np.sqrt(self.t) / self.GAMMA * self.h_bar
         w = self.t ** (-self.KAPPA)
         self.log_eps_bar = w * self.log_eps + (1.0 - w) * self.log_eps_bar
@@ -354,7 +356,7 @@ def run_chain(graph, config, chain_id=0):
 
     burn = min(config.adapt_iters, config.n_iter)
     eps0 = 0.1 / max(len(state.omega), 1) ** 0.25
-    adapter = _DualAveraging(eps0, config.target_accept)
+    adapter = _DualAveraging(eps0)
     walk = _WalkScale()
 
     recs = {k: [] for k in TRACE_FIELDS}
@@ -369,7 +371,7 @@ def run_chain(graph, config, chain_id=0):
         adapting = it < burn
         stepsize = adapter.stepsize if adapting else adapter.frozen_stepsize
         t0 = clock()
-        state, accepted[it, 0] = hmc_update(state, graph, config.leapfrog_steps, stepsize, rng, m=m)
+        state, accepted[it, 0] = hmc_update(state, graph, LEAPFROG_STEPS, stepsize, rng, m=m)
         if adapting:
             adapter.update(accepted[it, 0])
         t1 = clock()

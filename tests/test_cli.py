@@ -41,6 +41,17 @@ def test_rw_sd_flag_is_gone(tmp_path, capsys, value):
     assert "--rw-sd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--leapfrog-steps", "0"), ("--target-accept", "1"),
+                                        ("--leapfrog-steps", "5"), ("--target-accept", "0.8")],
+                         ids=["leapfrog-steps-0", "target-accept-1", "leapfrog-steps-valid",
+                              "target-accept-valid"])
+def test_hmc_tuning_flags_are_gone(tmp_path, capsys, flag, value):
+    # the leapfrog steps and the HMC target are constants, so both flags are unknown
+    for command in ("fit", "test-sparsity"):
+        assert run([command, str(tmp_path / "g.txt"), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert run(["fit", str(tmp_path / "nope.txt"), "--n-iter", "10"]) == 1
     assert "error" in capsys.readouterr().err
@@ -80,14 +91,11 @@ def test_sample_past_the_proposal_cap_exits_1(tmp_path, capsys):
     ["scaling", "--sigma", "0.5", "--tau", "1", "--alpha-grid", "2", "2", "2"],
     ["sample", "--alpha", "5", "--sigma", "0.5", "--tau", "1", "--seed", "-1", "--out", "x.txt"],
     ["fit", "{graph}", "--n-iter", "20", "--seed", "-1"],
-    ["fit", "{graph}", "--n-iter", "20", "--leapfrog-steps", "0"],
-    ["fit", "{graph}", "--n-iter", "20", "--target-accept", "1"],
     ["diag", "{bad_trace}"],
     ["fit", "{latin1_graph}", "--n-iter", "20"],
 ], ids=["n-chains-0", "negative-adapt-iters", "ppc-of-empty-trace", "scaling-empty-graphs",
         "scaling-one-distinct-alpha", "sample-negative-seed",
-        "fit-negative-seed", "leapfrog-steps-0", "target-accept-1", "diag-non-numeric-trace",
-        "fit-latin-1-id"])
+        "fit-negative-seed", "diag-non-numeric-trace", "fit-latin-1-id"])
 def test_bad_run_settings_exit_1(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     graph = tmp_path / "g.txt"
@@ -222,13 +230,15 @@ def test_fit_thin_keeps_every_third_draw(small_graph, tmp_path, capsys):
     assert [len(t) for t in traces] == [math.ceil((101 - 25) / 3)] * 2
 
 
-@pytest.mark.parametrize("target,n_warnings", [("0.3", 1), ("0.6", 0)])
-def test_fit_warns_once_per_stalled_chain(tmp_path, capsys, target, n_warnings):
+@pytest.mark.parametrize("adapt,n_warnings", [(["--adapt-iters", "2"], 1), ([], 0)],
+                         ids=["adapt-2", "adapt-default"])
+def test_fit_warns_once_per_stalled_chain(tmp_path, capsys, adapt, n_warnings):
+    # two adapting iterations freeze a stepsize at which HMC accepts nothing
     graph = str(tmp_path / "g.txt")
     assert run(["sample", "--alpha", "20", "--sigma", "0.5", "--tau", "1",
                 "--eps", "1e-3", "--seed", "6", "--out", graph]) == 0
-    assert run(["fit", graph, "--n-iter", "200", "--n-chains", "1", "--seed", "2",
-                "--target-accept", target, "--out", str(tmp_path / "t.csv")]) == 0
+    assert run(["fit", graph, "--n-iter", "200", "--n-chains", "1", "--seed", "2", *adapt,
+                "--out", str(tmp_path / "t.csv")]) == 0
     err = capsys.readouterr().err.splitlines()
     assert sum(line.startswith("warning: chain 0: ") for line in err) == n_warnings
     assert len(err) == n_warnings

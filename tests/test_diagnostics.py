@@ -204,12 +204,13 @@ def test_sparsity_test_warns_on_bad_mixing():
     assert res.warning is not None
 
 
-@pytest.mark.parametrize("target,stalled", [(0.3, True), (0.6, False)])
-def test_sparsity_test_warns_on_stalled_hmc(target, stalled):
-    # dual averaging toward 0.3 freezes a stepsize at which HMC accepts
-    # almost nothing after adaptation; the default target does not
+@pytest.mark.parametrize("adapt_iters,stalled", [(2, True), (None, False)],
+                         ids=["adapt-2", "adapt-default"])
+def test_sparsity_test_warns_on_stalled_hmc(adapt_iters, stalled):
+    # dual averaging over only two iterations freezes a stepsize at which
+    # HMC accepts almost nothing after adaptation; the default 100 does not
     z, _ = sample_undirected_ggp(SimConfig(GgpParams(20.0, 0.5, 1.0), 1e-3, seed=6))
-    trace = run_chain(z, McmcConfig(n_iter=400, seed=2, target_accept=target))
+    trace = run_chain(z, McmcConfig(n_iter=400, seed=2, adapt_iters=adapt_iters))
     assert (trace.accept_rates["hmc_post_adapt"] < 0.05) == stalled
     res = sparsity_test([trace])
     assert res.max_psrf is None
