@@ -14,7 +14,8 @@ nodes drop, self-loops drop when include_self_loops is false, and nodes are
 numbered in the order of the atoms they come from. Every Poisson count a path
 draws is checked against numpy's limit on the mean first: DomainError, naming
 the mean, instead of numpy's ValueError. The truncated path also refuses, the
-same way, a draw that expects more than MAX_EXPECTED_PROPOSALS CRM proposals.
+same way, a draw that expects more than MAX_EXPECTED_PROPOSALS CRM proposals,
+and the Kallenberg path one that expects more than MAX_KALLENBERG_ATOMS atoms.
 """
 
 from dataclasses import dataclass
@@ -41,6 +42,12 @@ MAX_EXPECTED_PROPOSALS = 1e9
 # proposals thinned, and endpoints searched, per block: a block's temporaries
 # (256 KiB of doubles each) stay small enough for the allocator to reuse
 _DRAW_BLOCK = 1 << 15
+# a Kallenberg draw that expects more atoms than this is refused before it
+# draws: its pair edges cost O(K^2) time and O(_PAIR_ROWS K) memory. At the
+# cap (alpha 300, sigma 0.5, tau 1, eps 4.48e-5) a draw took 38 s on a 2-vCPU
+# x86-64 VM, with a peak RSS of 719 MiB (33k atoms: 16 s, 514 MiB)
+MAX_KALLENBERG_ATOMS = 5e4
+_PAIR_ROWS = 512        # atom rows whose pair probabilities are drawn at once
 
 
 @dataclass(frozen=True)
@@ -49,10 +56,11 @@ class SimConfig:
     raise DomainError, before anything is drawn or allocated, when
     truncation_eps is too small: the truncated path refuses a draw that
     expects more than MAX_EXPECTED_PROPOSALS (1e9) CRM proposals, which
-    would hold 16 bytes each, and every path refuses a Poisson count whose
-    mean passes numpy's limit (about 9.2e18). At the paper's alpha = 300,
-    sigma = 0.5, tau = 1, eps = 1e-6 expects 3.4e5 proposals and eps = 1e-20
-    3.4e12."""
+    would hold 16 bytes each, the Kallenberg path one that expects more
+    than MAX_KALLENBERG_ATOMS (5e4) atoms, and every path refuses a Poisson
+    count whose mean passes numpy's limit (about 9.2e18). At the paper's
+    alpha = 300, sigma = 0.5, tau = 1, eps = 1e-6 expects 3.4e5 proposals
+    and eps = 1e-20 3.4e12."""
 
     params: GgpParams
     truncation_eps: float = DEFAULT_EPS
@@ -324,13 +332,13 @@ def sample_gamma_urn(alpha, tau, rng):
     return DirectedMultigraph(n_distinct, labels[0::2], labels[1::2])
 
 
-def _bernoulli_pair_edges(w, rng, chunk=512):
+def _bernoulli_pair_edges(w, rng):
     """Edges i < j with p_ij = 1 - exp(-2 w_i w_j) and self-loops with
-    p_ii = 1 - exp(-w_i^2), drawn in chunks of rows."""
+    p_ii = 1 - exp(-w_i^2), drawn _PAIR_ROWS rows at a time."""
     k = len(w)
     ei, ej = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for start in range(0, k, chunk):
-        stop = min(start + chunk, k)
+    for start in range(0, k, _PAIR_ROWS):
+        stop = min(start + _PAIR_ROWS, k)
         rows = np.arange(start, stop)
         # upper triangle only: columns j > i
         p = -np.expm1(-2.0 * np.outer(w[rows], w))
@@ -357,13 +365,24 @@ def sample_kallenberg(params, eps, rng):
     (-sigma), and rhobar^-1(theta) = H^-1(1 - theta / rhobar(0+)) with H the
     Gamma(-sigma, tau) cdf: all alpha rhobar(0+) marks are kept, their
     uniforms go through H^-1 directly, and eps is unused.
+
+    DomainError before any draw when the expected mark count passes numpy's
+    Poisson limit or MAX_KALLENBERG_ATOMS. At alpha 300, sigma 0.5, tau 1
+    the cap is eps = 4.48e-5; the paper's eps = 1e-6 expects 3.4e5 atoms,
+    about half an hour and 4 GiB of pair draws.
     """
-    if params.sigma < 0:
-        k = _poisson_count(params.alpha * total_tail_mass(params), rng, "the mark count")
+    finite = params.sigma < 0
+    # tail_intensity raises DomainError for eps <= 0
+    bound = params.alpha * (total_tail_mass(params) if finite else tail_intensity(params, eps))
+    _check_poisson_mean(bound, "the mark count")
+    if bound > MAX_KALLENBERG_ATOMS:
+        raise DomainError(f"the Kallenberg draw expects {bound:.6g} atoms (their Poisson mean), "
+                          f"more than MAX_KALLENBERG_ATOMS = {MAX_KALLENBERG_ATOMS:.6g}; "
+                          + ("use the truncated path" if finite else "raise eps"))
+    k = rng.poisson(bound)
+    if finite:
         w = gammaincinv(-params.sigma, rng.uniform(size=k)) * (1.0 / params.tau)
     else:
-        bound = params.alpha * tail_intensity(params, eps)    # DomainError for eps <= 0
-        k = _poisson_count(bound, rng, "the mark count")
         marks = rng.uniform(0.0, bound, size=k)
         w = inv_tail_intensity(params, marks / params.alpha)
     ei, ej = _bernoulli_pair_edges(w, rng)

@@ -81,6 +81,15 @@ def test_sample_past_the_proposal_cap_exits_1(tmp_path, capsys):
     assert not (tmp_path / "g.txt").exists()
 
 
+def test_sample_kallenberg_past_the_atom_cap_exits_1(tmp_path, capsys):
+    # the default eps = 1e-6 expects 3.4e5 atoms, whose pair edges cost O(K^2)
+    assert run(["sample", "--alpha", "300", "--sigma", "0.5", "--tau", "1",
+                "--path", "kallenberg", "--out", str(tmp_path / "g.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "MAX_KALLENBERG_ATOMS" in err[0]
+    assert not (tmp_path / "g.txt").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["test-sparsity", "{graph}", "--n-iter", "20", "--n-chains", "0"],
     ["fit", "{graph}", "--n-iter", "20", "--adapt-iters", "-5"],

@@ -315,6 +315,29 @@ def test_proposal_cap_bounds_the_summed_mean(monkeypatch):
     sample_crm_truncated(p, 0.1, rng_stream(3))
 
 
+# alpha 300, sigma 0.5, tau 1 at the paper's eps = 1e-6: 3.4e5 atoms, whose
+# pair edges would take about half an hour and 4 GiB; sigma = -1e-3: 3e5 atoms
+@pytest.mark.parametrize("params, message", [
+    (GgpParams(300.0, 0.5, 1.0), r"expects 337914 atoms .* MAX_KALLENBERG_ATOMS = 50000; raise eps"),
+    (GgpParams(300.0, -1e-3, 1.0), r"expects 300000 atoms .*; use the truncated path"),
+], ids=["paper-scale", "finite-activity"])
+def test_kallenberg_draw_past_the_atom_cap_is_refused_before_drawing(params, message):
+    rng = rng_stream(2)
+    with pytest.raises(DomainError, match=message):
+        sample_kallenberg(params, 1e-6, rng)
+    np.testing.assert_equal(rng.bit_generator.state, rng_stream(2).bit_generator.state)
+
+
+def test_kallenberg_atom_cap_bounds_the_expected_count(monkeypatch):
+    p = GgpParams(20.0, 0.5, 1.0)
+    mean = p.alpha * tail_intensity(p, 1e-3)
+    monkeypatch.setattr(simulate, "MAX_KALLENBERG_ATOMS", np.nextafter(mean, 0.0))
+    with pytest.raises(DomainError, match="MAX_KALLENBERG_ATOMS"):
+        sample_kallenberg(p, 1e-3, rng_stream(3))
+    monkeypatch.setattr(simulate, "MAX_KALLENBERG_ATOMS", mean)
+    assert sample_kallenberg(p, 1e-3, rng_stream(3)).n_edges > 0
+
+
 @pytest.mark.parametrize("n", [0, 1, simulate._DRAW_BLOCK - 1, simulate._DRAW_BLOCK,
                                simulate._DRAW_BLOCK + 1, 3 * simulate._DRAW_BLOCK + 7])
 def test_blocked_thinning_equals_one_call(n):
