@@ -7,11 +7,13 @@ truncated path draws the CRM atoms above eps by exact Poisson thinning of
 closed-form envelopes. The gamma-process urn and the Kallenberg
 construction (unit-rate marks through the inverted tail intensity; for
 sigma < 0 its finite-activity case, whose marks are the Gamma(-sigma, tau)
-jumps of a compound Poisson process) are independent, distributionally
-equivalent alternatives used for cross-validation. Every path finishes a
-draw by the same rules: a draw with no atoms is an empty graph, isolated
-nodes drop, self-loops drop when include_self_loops is false, and nodes are
-numbered in the order of the atoms they come from. Every Poisson count a path
+jumps of a compound Poisson process) are independent alternatives used
+for cross-validation. The urn and the finite-activity draw are exact; the
+truncated path, and the Kallenberg path for sigma >= 0, drop the atoms
+below eps, about 2 W m(eps) of which would have had an edge. Every path
+finishes a draw by the same rules: a draw with no atoms is an empty graph,
+isolated nodes drop, self-loops drop when include_self_loops is false, and
+nodes are numbered in the order of the atoms they come from. Every Poisson count a path
 draws is checked against numpy's limit on the mean first: DomainError, naming
 the mean, instead of numpy's ValueError. The truncated path also refuses, the
 same way, a draw that expects more than MAX_EXPECTED_PROPOSALS CRM proposals,

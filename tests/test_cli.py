@@ -41,10 +41,8 @@ def test_rw_sd_flag_is_gone(tmp_path, capsys, value):
     assert "--rw-sd" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value", [("--leapfrog-steps", "0"), ("--target-accept", "1"),
-                                        ("--leapfrog-steps", "5"), ("--target-accept", "0.8")],
-                         ids=["leapfrog-steps-0", "target-accept-1", "leapfrog-steps-valid",
-                              "target-accept-valid"])
+@pytest.mark.parametrize("flag,value", [("--leapfrog-steps", "0"), ("--target-accept", "1")],
+                         ids=["leapfrog-steps-0", "target-accept-1"])
 def test_hmc_tuning_flags_are_gone(tmp_path, capsys, flag, value):
     # the leapfrog steps and the HMC target are constants, so both flags are unknown
     for command in ("fit", "test-sparsity"):

@@ -606,7 +606,7 @@ def _sbc_ranks(r):
     return (draws < [*np.log(truth.weights[nodes]), truth.weights.sum()]).sum(axis=0)
 
 
-def sbc_p_values(n_replicates):
+def _sbc_p_values(n_replicates):
     """Chi-square p-value of each statistic's ranks, in 8 bins of 6 or 5 of
     their 41 values. The replicates run in two workers, forked for the reason
     run_chains forks: 200 replicates took 8.5 s forked, 17.7 s spawned."""
@@ -624,4 +624,4 @@ def sbc_p_values(n_replicates):
 
 def test_hmc_and_latent_blocks_are_calibrated():
     # one threshold, 1e-3, for the three tests together
-    assert min(sbc_p_values(200)) > 1e-3 / 3
+    assert min(_sbc_p_values(200)) > 1e-3 / 3
