@@ -95,7 +95,7 @@ class UndirectedGraph:
 
     @cached_property
     def unit_m(self):
-        """Per-node count of edge ends, a self-loop counting 2: m at nbar = 1."""
+        """Per-node count of edge ends, a self-loop counting 2: m at every latent count 1."""
         return edge_end_counts(self.n_nodes, self.edge_i, self.edge_j)
 
     @property

@@ -6,7 +6,9 @@ HMC updates the log-weights, a joint Metropolis-Hastings block with an
 exponentially tilted total-mass proposal updates (alpha, sigma, tau, w*)
 without ever evaluating the intractable total-mass density, and the
 latent counts are drawn from their zero-truncated Poisson conditional.
-Each hyperparameter carries an improper 1/x prior.
+The other blocks read the counts only through their per-node sums m, so
+the state keeps m and no count vector. Each hyperparameter carries an
+improper 1/x prior.
 """
 
 import multiprocessing
@@ -44,7 +46,7 @@ class McmcState:
     alpha: float
     sigma: float
     tau: float
-    nbar: np.ndarray           # latent counts per undirected edge, >= 1
+    m: np.ndarray              # per-node sums of the latent edge counts, float64
 
     def weights(self):
         return np.exp(self.omega)
@@ -99,23 +101,23 @@ class ChainTrace:
         return self.records[name]
 
 
-def compute_m(graph, nbar):
-    """Per-node exponent m_i from latent edge counts; a self count contributes 2.
+def compute_m(graph, index, count):
+    """Per-node exponent m_i, as float64, of the latent edge counts that are
+    count at edges index and 1 at every other edge; a self count
+    contributes 2.
 
-    Most counts are 1 (about nine in ten at paper scale), so m starts from
-    its value at nbar = 1, which the graph holds, and adds the excess
-    nbar - 1 of the other edges.
+    That is m at every count 1, which the graph holds, plus the excess
+    count - 1 at index. Sums of small integers are exact in float64, so m
+    does not depend on the order of summation.
     """
-    up = (nbar > 1).nonzero()[0]
-    return graph.unit_m + edge_end_counts(
-        graph.n_nodes, graph.edge_i.take(up), graph.edge_j.take(up), nbar.take(up) - 1)
+    excess = edge_end_counts(graph.n_nodes, graph.edge_i.take(index), graph.edge_j.take(index),
+                             count - 1.0)
+    return np.add(graph.unit_m, excess, dtype=float)
 
 
 def _check_state(state, graph):
-    if len(state.nbar) != graph.n_edges:
-        raise InconsistentStateError("latent count vector does not match the edge list")
-    if np.any(state.nbar < 1):
-        raise InconsistentStateError("latent counts must be >= 1 on edges")
+    if len(state.m) != graph.n_nodes:
+        raise InconsistentStateError("per-node exponent m does not match the node count")
 
 
 def _grad_and_mass(w, m_sigma, tau, w_star, scale=1.0, out=None):
@@ -138,20 +140,14 @@ def _log_target(omega, w_sum, m_sigma, tau, w_star):
     return float(np.dot(m_sigma, omega) - tau * w_sum - (w_sum + w_star) ** 2)
 
 
-def log_posterior(state, graph, *, check=True, m=None):
+def log_posterior(state, graph):
     """Joint log density up to the additive log g* constant.
 
     sum_i [m_i log w_i + log rho(w_i)] - (sum w + w*)^2 plus the Jacobian
-    sum_i omega_i of the log parameterization. run_chain passes
-    check=False: it draws every latent count itself, so they are >= 1.
-    It also passes m = compute_m(graph, state.nbar), which it computes once
-    per latent draw for this and the next HMC update.
+    sum_i omega_i of the log parameterization, at m = state.m.
     """
-    if check:
-        _check_state(state, graph)
-    if m is None:
-        m = compute_m(graph, state.nbar)
-    value = _log_target(state.omega, state.weights().sum(), m - state.sigma,
+    _check_state(state, graph)
+    value = _log_target(state.omega, state.weights().sum(), state.m - state.sigma,
                         state.tau, state.w_star)
     return value - len(state.omega) * gammaln(1.0 - state.sigma)
 
@@ -159,16 +155,15 @@ def log_posterior(state, graph, *, check=True, m=None):
 def grad_log_posterior(state, graph):
     """Gradient in omega: m_i - sigma - w_i (tau + 2 sum_j w_j + 2 w*)."""
     _check_state(state, graph)
-    grad, _ = _grad_and_mass(
-        state.weights(), compute_m(graph, state.nbar) - state.sigma, state.tau, state.w_star)
+    grad, _ = _grad_and_mass(state.weights(), state.m - state.sigma, state.tau, state.w_star)
     return grad
 
 
-def hmc_update(state, graph, n_steps, stepsize, rng, m=None):
-    """One Hamiltonian update of the log-weights; returns acceptance flag.
+def hmc_update(state, graph, n_steps, stepsize, rng):
+    """One Hamiltonian update of the log-weights at m = state.m; returns
+    acceptance flag.
 
-    m is compute_m(graph, state.nbar), computed here when not given. The
-    log target is evaluated only at the two ends of the trajectory. A
+    The log target is evaluated only at the two ends of the trajectory. A
     diverging trajectory overflows; its non-finite ratio rejects it, so
     numpy's overflow, divide and invalid-value warnings are silenced here.
 
@@ -180,9 +175,8 @@ def hmc_update(state, graph, n_steps, stepsize, rng, m=None):
     is r.r / (2 eps^2). This is the textbook p += eps/2 grad, q += eps p
     map, rounded differently.
     """
-    if m is None:
-        m = compute_m(graph, state.nbar)
-    m_sigma = m - state.sigma
+    _check_state(state, graph)
+    m_sigma = state.m - state.sigma
     eps2 = stepsize * stepsize
     target = (np.multiply(eps2, m_sigma), state.tau, state.w_star, eps2)
     z = rng.standard_normal(len(state.omega))
@@ -265,8 +259,9 @@ def latent_rates(state, graph):
 
 
 def latent_update(state, graph, rng):
-    """Draw the latent edge counts from their zero-truncated Poisson conditional."""
-    state.nbar = sample_truncated_poisson(latent_rates(state, graph), rng)
+    """Draw the latent edge counts from their zero-truncated Poisson
+    conditional and keep their per-node sums, state.m."""
+    state.m = compute_m(graph, *sample_truncated_poisson(latent_rates(state, graph), rng))
     return state
 
 
@@ -287,7 +282,7 @@ def init_state(graph, rng):
         alpha=float(alpha0),
         sigma=float(sigma0),
         tau=float(tau0),
-        nbar=np.ones(graph.n_edges, dtype=np.int64),
+        m=graph.unit_m.astype(float),      # every latent count 1
     )
 
 
@@ -352,7 +347,6 @@ def run_chain(graph, config, chain_id=0):
     rng = rng_stream(config.seed, chain_id)
     state = init_state(graph, rng)
     latent_update(state, graph, rng)                # start latent at its conditional
-    m = compute_m(graph, state.nbar)                # shared until the next latent draw
 
     burn = min(config.adapt_iters, config.n_iter)
     eps0 = 0.1 / max(len(state.omega), 1) ** 0.25
@@ -371,7 +365,7 @@ def run_chain(graph, config, chain_id=0):
         adapting = it < burn
         stepsize = adapter.stepsize if adapting else adapter.frozen_stepsize
         t0 = clock()
-        state, accepted[it, 0] = hmc_update(state, graph, LEAPFROG_STEPS, stepsize, rng, m=m)
+        state, accepted[it, 0] = hmc_update(state, graph, LEAPFROG_STEPS, stepsize, rng)
         if adapting:
             adapter.update(accepted[it, 0])
         t1 = clock()
@@ -380,7 +374,6 @@ def run_chain(graph, config, chain_id=0):
             walk.update(accepted[it, 1])
         t2 = clock()
         state = latent_update(state, graph, rng)
-        m = compute_m(graph, state.nbar)
         t3 = clock()
         spent["hmc"] += t1 - t0
         spent["hyper"] += t2 - t1
@@ -388,7 +381,7 @@ def run_chain(graph, config, chain_id=0):
         if it in kept:
             for k in PARAM_FIELDS:
                 recs[k].append(getattr(state, k))
-            recs["log_post"].append(log_posterior(state, graph, check=False, m=m))
+            recs["log_post"].append(log_posterior(state, graph))
             if stride and kept.index(it) % stride == 0:
                 omega_snaps.append(state.omega.copy())
             spent["record"] += clock() - t3

@@ -239,6 +239,9 @@ def sample_truncated_poisson(rate, rng):
     uniform u and inverts the CDF, so X = 1 exactly when
     u < p_1 = lam / expm1(lam).
 
+    Returns (index, count): the ascending positions of the draws that the
+    squeeze below did not settle, and their values; every other draw is 1.
+
     Most draws at a sparse graph's small latent rates are settled by a
     squeeze (Devroye 1986, ch. II.5) before p_1 is computed. Since
     e^x - 1 < x / (1 - x/2) for 0 < x < 2, p_1 > 1 - lam/2 at every
@@ -269,10 +272,10 @@ def sample_truncated_poisson(rate, rng):
       The first block starts at p_1.
 
       The blocks are index-compressed: each keeps its undecided draws by
-      the positions nonzero() finds, with one take of their indices, their
-      rates and the block's last row. A boolean-mask compress would cost
-      several times as much, since an undecided draw is scattered at
-      random and defeats branch prediction.
+      the positions nonzero() finds, with one take of their positions
+      among the candidates, their rates and the block's last row. A
+      boolean-mask compress would cost several times as much, since an
+      undecided draw is scattered at random and defeats branch prediction.
     - lam > _INVERSION_MAX_RATE: the number of inversion passes grows like
       lam, so these draws keep the one-pass form. X is one plus the
       arrivals of a unit-rate Poisson process on (T, lam], where T is its
@@ -280,43 +283,39 @@ def sample_truncated_poisson(rate, rng):
       X = 1 + Poisson(lam - T).
 
     Every rate above _INVERSION_MAX_RATE has t < 0, so it is always a
-    candidate, and all of these draws take the one-pass form. Splitting
-    them off before the u < p_1 compare matters: applying that shortcut
-    to the large rates too and drawing the rest by the one-pass form
-    would double P(X = 1) there.
+    candidate, and all of these draws take the one-pass form. They are
+    split off among the candidates: the inversion sees them at rate 1 and
+    uniform -1, which ends them at X = 1 in its first block, and the
+    one-pass form then writes their values. Splitting them off before the
+    u < p_1 compare matters: applying that shortcut to the large rates too
+    and drawing the rest by the one-pass form would double P(X = 1) there.
 
-    A stage with no draws to work on is skipped. So when no rate exceeds
-    _INVERSION_MAX_RATE, a call uses the generator exactly as
+    The one-pass form is skipped when no rate exceeds
+    _INVERSION_MAX_RATE, and then a call uses the generator exactly as
     rng.random(len(rate)) does.
 
     A rate outside (0, MAX_POISSON_MEAN], where numpy's Poisson stops, or
     NaN raises DomainError before anything is drawn.
     """
-    scalar = np.isscalar(rate)
-    rate = np.atleast_1d(np.asarray(rate, dtype=float))
+    rate = np.asarray(rate, dtype=float)
     top = rate.max(initial=0.0)
     if rate.size and not (rate.min() > 0.0 and top <= MAX_POISSON_MEAN):     # NaN fails both
         raise DomainError(f"truncated Poisson requires rates in (0, {MAX_POISSON_MEAN:.6g}]")
     u = rng.random(rate.shape)
-    out = np.ones(rate.shape, dtype=np.int64)
-    bound = _sure_one_bound(rate)
-    has_big = top > _INVERSION_MAX_RATE
-    if has_big:
-        # all candidates; a bound of 1, which no uniform reaches, keeps
-        # them out of the inversion
-        big = (rate > _INVERSION_MAX_RATE).nonzero()[0]
-        bound[big] = 1.0
-    idx = (u >= bound).nonzero()[0]
-    lam = rate.take(idx)
+    index = (u >= _sure_one_bound(rate)).nonzero()[0]
+    lam, u = rate.take(index), u.take(index)
+    big = (lam > _INVERSION_MAX_RATE).nonzero()[0]
+    big_lam, big_u = lam.take(big), u.take(big)
+    lam[big], u[big] = 1.0, -1.0        # ends their inversion at X = 1; see above
+    at = None                           # the undecided draws' positions among the candidates
     k = 0                               # terms tried by every undecided draw
-    while idx.size > _VECTOR_MIN_DRAWS or (k == 0 and idx.size):
-        block = np.empty((2, _BLOCK_TERMS, idx.size))
+    while k == 0 or lam.size > _VECTOR_MIN_DRAWS:
+        block = np.empty((2, _BLOCK_TERMS, lam.size))
         terms, lefts = block            # P(X = k + 1 + j) and u - P(X <= k + 1 + j)
         start = 0
         if k == 0:                      # X = 1 has its own form
             p = _p_one(lam, out=terms[0])
-            left = u.take(idx, out=lefts[0])
-            left -= p
+            left = np.subtract(u, p, out=lefts[0])
             start = 1
         for j in range(start, _BLOCK_TERMS):
             p = np.multiply(p, lam, out=terms[j])
@@ -329,18 +328,18 @@ def sample_truncated_poisson(rate, rng):
         going &= terms > 0.0
         steps = going.sum(axis=0)
         steps += k + 1                  # the draws' values
-        out[idx] = steps
         k += _BLOCK_TERMS
         keep = (steps > k).nonzero()[0]
-        idx = idx.take(keep)
+        if at is None:                  # the first block holds every candidate
+            count, at = steps, keep
+        else:
+            count[at] = steps
+            at = at.take(keep)
         lam = lam.take(keep)
         p, left = block[:, -1].take(keep, axis=1)
-    if idx.size:
-        out[idx] = _invert_one_by_one(k, lam, p, left)
-    if has_big:
-        lam = rate.take(big)
-        first = -np.log1p(u.take(big) * np.expm1(-lam))
-        out[big] = 1 + rng.poisson(np.maximum(lam - first, 0.0))
-    if scalar:
-        return int(out[0])
-    return out
+    if lam.size:
+        count[at] = _invert_one_by_one(k, lam, p, left)
+    if big.size:
+        first = -np.log1p(big_u * np.expm1(-big_lam))
+        count[big] = 1 + rng.poisson(np.maximum(big_lam - first, 0.0))
+    return index, count

@@ -22,6 +22,7 @@ from crmgraph.graphs import UndirectedGraph, to_undirected
 from crmgraph.inference import (
     McmcConfig,
     McmcState,
+    compute_m,
     grad_log_posterior,
     log_posterior,
     run_chains,
@@ -129,16 +130,16 @@ def test_criterion_5_gradient_check():
     worst = 0.0
     for _ in range(100):
         w = rng.uniform(0.2, 2.0, size=5)
-        nbar = rng.integers(1, 5, size=6)
+        m = compute_m(graph, np.arange(6), rng.integers(1, 5, size=6))
         state = McmcState(np.log(w), rng.uniform(0, 1), 1.0,
-                          rng.uniform(-1, 0.9), rng.uniform(0.5, 2), nbar)
+                          rng.uniform(-1, 0.9), rng.uniform(0.5, 2), m)
         grad = grad_log_posterior(state, graph)
         for i in range(5):
             up, dn = state.omega.copy(), state.omega.copy()
             up[i] += h
             dn[i] -= h
-            s_up = McmcState(up, state.w_star, 1.0, state.sigma, state.tau, nbar)
-            s_dn = McmcState(dn, state.w_star, 1.0, state.sigma, state.tau, nbar)
+            s_up = McmcState(up, state.w_star, 1.0, state.sigma, state.tau, m)
+            s_dn = McmcState(dn, state.w_star, 1.0, state.sigma, state.tau, m)
             fd = (log_posterior(s_up, graph) - log_posterior(s_dn, graph)) / (2 * h)
             worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(fd)))
     ok = worst <= 1e-5

@@ -12,6 +12,7 @@ from scipy.integrate import dblquad
 from scipy.special import gammaln
 from scipy.stats import chisquare
 
+from crmgraph import totalmass
 from crmgraph.errors import DomainError, InconsistentStateError
 from crmgraph.graphs import UndirectedGraph
 from crmgraph.inference import (
@@ -34,7 +35,7 @@ from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import SimConfig, sample_crm_truncated, sample_undirected_ggp
 
 
-def two_node_state(sigma=0.5, tau=1.0, w=(1.0, 1.0), w_star=0.0, nbar=(1,)):
+def two_node_state(sigma=0.5, tau=1.0, w=(1.0, 1.0), w_star=0.0, m=(1.0, 1.0)):
     graph = UndirectedGraph(2, [0], [1])
     state = McmcState(
         omega=np.log(np.asarray(w, dtype=float)),
@@ -42,7 +43,7 @@ def two_node_state(sigma=0.5, tau=1.0, w=(1.0, 1.0), w_star=0.0, nbar=(1,)):
         alpha=1.0,
         sigma=sigma,
         tau=tau,
-        nbar=np.asarray(nbar, dtype=np.int64),
+        m=np.asarray(m, dtype=float),
     )
     return state, graph
 
@@ -63,7 +64,8 @@ def test_log_posterior_brute_force_oracle():
         w = rng.uniform(0.1, 2.0, size=3)
         nbar = rng.integers(1, 4, size=4)
         sigma, tau, w_star = rng.uniform(-0.5, 0.9), rng.uniform(0.5, 2), rng.uniform(0, 1)
-        state = McmcState(np.log(w), w_star, 1.0, sigma, tau, nbar)
+        m_state = compute_m(graph, np.arange(4), nbar)
+        state = McmcState(np.log(w), w_star, 1.0, sigma, tau, m_state)
         m = np.zeros(3)
         for (i, j), n in zip([(0, 1), (0, 2), (1, 1), (2, 2)], nbar):
             m[i] += n
@@ -89,10 +91,10 @@ def test_gradient_matches_finite_differences():
     h = 1e-6
     for _ in range(100):
         w = rng.uniform(0.2, 2.0, size=4)
-        nbar = rng.integers(1, 5, size=5)
+        m = compute_m(graph, np.arange(5), rng.integers(1, 5, size=5))
         state = McmcState(
             np.log(w), rng.uniform(0, 1), 1.0,
-            rng.uniform(-1, 0.9), rng.uniform(0.5, 2), nbar,
+            rng.uniform(-1, 0.9), rng.uniform(0.5, 2), m,
         )
         grad = grad_log_posterior(state, graph)
         for i in range(4):
@@ -100,44 +102,49 @@ def test_gradient_matches_finite_differences():
             up[i] += h
             dn = state.omega.copy()
             dn[i] -= h
-            s_up = McmcState(up, state.w_star, 1.0, state.sigma, state.tau, nbar)
-            s_dn = McmcState(dn, state.w_star, 1.0, state.sigma, state.tau, nbar)
+            s_up = McmcState(up, state.w_star, 1.0, state.sigma, state.tau, m)
+            s_dn = McmcState(dn, state.w_star, 1.0, state.sigma, state.tau, m)
             fd = (log_posterior(s_up, graph) - log_posterior(s_dn, graph)) / (2 * h)
             assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_state_consistency_checks():
-    state, graph = two_node_state(nbar=(1, 1))  # wrong latent length
-    with pytest.raises(InconsistentStateError):
-        log_posterior(state, graph)
-    with pytest.raises(InconsistentStateError):
-        grad_log_posterior(state, graph)
-    state, graph = two_node_state(nbar=(0,))  # latent count below 1
-    with pytest.raises(InconsistentStateError):
-        log_posterior(state, graph)
+    # an m of the wrong length; a length of 1 would broadcast silently
+    for m in ((1.0,), (1.0, 1.0, 1.0)):
+        state, graph = two_node_state(m=m)
+        with pytest.raises(InconsistentStateError):
+            log_posterior(state, graph)
+        with pytest.raises(InconsistentStateError):
+            grad_log_posterior(state, graph)
+        with pytest.raises(InconsistentStateError):
+            hmc_update(state, graph, 1, 0.1, rng_stream(0))
 
 
 def test_compute_m_self_loop_counts_twice():
     graph = UndirectedGraph(2, [0, 1], [0, 1])  # loop on 0, edge via (1,1) loop
-    m = compute_m(graph, np.array([3, 2]))
+    m = compute_m(graph, np.array([0, 1]), np.array([3, 2]))
     np.testing.assert_array_equal(m, [6, 4])
 
 
 def test_compute_m_matches_bincount_reference():
-    # the per-graph count at nbar = 1 plus the excess must equal two
-    # weighted bincounts over every edge, integer for integer
+    # the per-graph count at every count 1 plus the excess at index, where
+    # some counts are 1 too, must equal two weighted bincounts over every
+    # edge, integer for integer
     rng = np.random.default_rng(7)
+    pick = np.random.default_rng(70)
     for _ in range(50):
         n = int(rng.integers(1, 40))
         e = int(rng.integers(1, 200))
         graph = UndirectedGraph(n, rng.integers(0, n, e), rng.integers(0, n, e))
         nbar = rng.geometric(rng.uniform(0.3, 1.0), graph.n_edges)
         nbar[rng.uniform(size=graph.n_edges) < 0.3] += rng.integers(0, 1000)
+        index = np.flatnonzero(pick.uniform(size=graph.n_edges) < 0.5)
+        nbar[np.setdiff1d(np.arange(graph.n_edges), index)] = 1     # 1 off the index
         ref = np.bincount(graph.edge_i, weights=nbar, minlength=n)
         ref += np.bincount(graph.edge_j, weights=nbar, minlength=n)
-        m = compute_m(graph, nbar)
-        assert m.dtype == np.int64
-        np.testing.assert_array_equal(m, ref.astype(np.int64))
+        m = compute_m(graph, index, nbar[index])
+        assert m.dtype == np.float64
+        np.testing.assert_array_equal(m, ref)
     assert len(graph.loops) > 0
 
 
@@ -145,8 +152,7 @@ def test_latent_rates_match_mask_form_bitwise():
     rng = np.random.default_rng(8)
     graph = UndirectedGraph(30, rng.integers(0, 30, 300), rng.integers(0, 30, 300))
     assert len(graph.loops) > 0
-    state = McmcState(rng.normal(0.0, 3.0, 30), 0.1, 1.0, 0.2, 1.0,
-                      np.ones(graph.n_edges, dtype=np.int64))
+    state = McmcState(rng.normal(0.0, 3.0, 30), 0.1, 1.0, 0.2, 1.0, graph.unit_m.astype(float))
     w = np.exp(state.omega)
     ref = 2.0 * w[graph.edge_i] * w[graph.edge_j]
     loop = graph.edge_i == graph.edge_j
@@ -249,15 +255,48 @@ def test_weights_never_go_stale():
     assert state.weights()[0] != np.exp(3.0)
 
 
+def test_compute_m_of_a_latent_draw_matches_a_dense_reference(monkeypatch):
+    # rates that reach every stage of the kernel: the squeeze, two or more
+    # inversion blocks, the one-by-one tail and the one-pass form above
+    # _INVERSION_MAX_RATE, on a graph with self-loops
+    tails = []
+    invert = totalmass._invert_one_by_one
+
+    def spy(k, lam, p, left):
+        tails.append(len(lam))
+        return invert(k, lam, p, left)
+
+    monkeypatch.setattr(totalmass, "_invert_one_by_one", spy)
+    g = rng_stream(8, 0)
+    n = 300
+    graph = UndirectedGraph(n, g.integers(0, n, 4000), g.integers(0, n, 4000))
+    assert graph.loops.size > 10
+    rate = np.exp(g.uniform(np.log(1e-4), np.log(40.0), graph.n_edges))
+    index, count = totalmass.sample_truncated_poisson(rate, rng_stream(8, 1))
+    x = np.ones(graph.n_edges, dtype=np.int64)
+    x[index] = count
+    inverted = rate <= totalmass._INVERSION_MAX_RATE
+    assert 0 < index.size < graph.n_edges // 2     # the squeeze settled most draws
+    assert np.any(x[inverted] > 1 + totalmass._BLOCK_TERMS)     # past the first block
+    assert tails and 0 < tails[0] <= totalmass._VECTOR_MIN_DRAWS
+    assert np.all(np.isin(np.flatnonzero((x > 1) | ~inverted), index))
+    excess = np.zeros(n)
+    np.add.at(excess, graph.edge_i, x - 1)
+    np.add.at(excess, graph.edge_j, x - 1)
+    m = compute_m(graph, index, count)
+    assert m.dtype == np.float64
+    np.testing.assert_array_equal(m, graph.unit_m + excess)
+
+
 def test_hmc_preserves_two_node_posterior():
     # fixed hyperparameters and latents: compare the production HMC kernel
     # against 2-D quadrature of the unnormalized density in w. A self-loop
     # adds 2 to m, so edges (0,0), (0,1) with unit counts give m = (3, 1).
     sigma, tau, w_star = 0.3, 1.0, 0.2
     graph = UndirectedGraph(2, [0, 0], [0, 1])
-    state = McmcState(np.log([0.5, 0.5]), w_star, 1.0, sigma, tau, np.array([1, 1]))
-    m = compute_m(graph, state.nbar)
+    m = compute_m(graph, np.arange(2), np.array([1, 1]))
     np.testing.assert_array_equal(m, [3, 1])
+    state = McmcState(np.log([0.5, 0.5]), w_star, 1.0, sigma, tau, m)
 
     def dens(w1, w2):
         return (
@@ -288,7 +327,7 @@ def test_latent_exact_mean():
     vals = []
     for _ in range(20000):
         latent_update(state, graph, rng)
-        vals.append(state.nbar[0])
+        vals.append(state.m[0])     # the one edge's count
     expected = 2.0 / (1.0 - np.exp(-2.0))
     assert expected == pytest.approx(2.3130352854993312, rel=1e-12)
     se = np.std(vals, ddof=1) / np.sqrt(len(vals))
@@ -377,9 +416,9 @@ def test_run_chain_computes_m_once_per_latent_draw(monkeypatch):
     calls = []
     original = inf.compute_m
 
-    def counted(graph, nbar):
-        calls.append(len(nbar))
-        return original(graph, nbar)
+    def counted(graph, index, count):
+        calls.append(len(count))
+        return original(graph, index, count)
 
     monkeypatch.setattr(inf, "compute_m", counted)
     graph = UndirectedGraph(3, [0, 1, 2], [1, 2, 2])
@@ -577,8 +616,7 @@ def _start_at_truth(graph, rng, w_star):
     deg = graph.degree.astype(float)
     w0 = deg / np.sqrt(deg.sum()) * np.exp(0.2 * rng.standard_normal(graph.n_nodes))
     p = SBC_PARAMS
-    return McmcState(np.log(w0), w_star, p.alpha, p.sigma, p.tau,
-                     np.ones(graph.n_edges, dtype=np.int64))
+    return McmcState(np.log(w0), w_star, p.alpha, p.sigma, p.tau, graph.unit_m.astype(float))
 
 
 def _sbc_ranks(r):

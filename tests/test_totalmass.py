@@ -22,6 +22,15 @@ from crmgraph.totalmass import (
 )
 
 
+def draws(rate, rng):
+    """Every draw of sample_truncated_poisson(rate, rng), 1 off its index."""
+    index, count = sample_truncated_poisson(rate, rng)
+    assert count.dtype == np.int64 and np.all(np.diff(index) > 0)
+    x = np.ones(len(rate), dtype=np.int64)
+    x[index] = count
+    return x
+
+
 def draw_many(params, n, seed=0):
     rng = rng_stream(seed, 0)
     return np.array([sample_total_mass(params, rng) for _ in range(n)])
@@ -189,7 +198,7 @@ def test_tilted_total_mass_finite_over_the_region(log_alpha, sigma, log_tau, log
 
 def test_truncated_poisson_mean_at_unit_rate():
     rng = rng_stream(9, 0)
-    x = sample_truncated_poisson(np.ones(200000), rng)
+    x = draws(np.ones(200000), rng)
     # E = lambda / (1 - e^-lambda) at lambda = 1
     expected = 1.5819767068693265
     se = x.std(ddof=1) / np.sqrt(len(x))
@@ -200,7 +209,7 @@ def test_truncated_poisson_always_positive():
     rng = rng_stream(10, 0)
     rates = np.concatenate([np.full(1000, 1e-12), np.full(1000, 0.5),
                             np.full(1000, 5.0), np.full(1000, 50.0)])
-    x = sample_truncated_poisson(rates, rng)
+    x = draws(rates, rng)
     assert np.all(x >= 1)
     assert np.all(x[:1000] == 1)  # vanishing rate degenerates to 1
 
@@ -208,7 +217,7 @@ def test_truncated_poisson_always_positive():
 def test_truncated_poisson_large_rate_matches_poisson_mean():
     rng = rng_stream(11, 0)
     lam = 30.0
-    x = sample_truncated_poisson(np.full(50000, lam), rng)
+    x = draws(np.full(50000, lam), rng)
     se = x.std(ddof=1) / np.sqrt(len(x))
     assert abs(x.mean() - lam / (1.0 - np.exp(-lam))) <= 4.0 * se
 
@@ -225,7 +234,7 @@ def ztp_pmf(k, lam):
 ])
 def test_truncated_poisson_pmf(lam):
     # both sides of the split between CDF inversion and the one-pass form
-    x = sample_truncated_poisson(np.full(200000, lam), rng_stream(16, 0))
+    x = draws(np.full(200000, lam), rng_stream(16, 0))
     assert x.min() >= 1
     for k in (1, 2, 3, 4):
         pk = ztp_pmf(k, lam)
@@ -237,7 +246,7 @@ def test_truncated_poisson_one_just_above_split():
     # above the split the u < lam/expm1(lam) shortcut must not apply on top
     # of the one-pass form, which already gives X = 1 at that rate
     lam = np.nextafter(_INVERSION_MAX_RATE, np.inf)
-    x = sample_truncated_poisson(np.full(1_000_000, lam), rng_stream(17, 0))
+    x = draws(np.full(1_000_000, lam), rng_stream(17, 0))
     p1 = lam / np.expm1(lam)
     se = np.sqrt(p1 * (1.0 - p1) / len(x))
     assert abs(np.mean(x == 1) - p1) <= 5.0 * se
@@ -311,12 +320,12 @@ def test_truncated_poisson_same_draws_whichever_pass_finishes(monkeypatch):
              (np.full(4000, 5.0), lambda: rng_stream(5, 1)),
              (edge_rate, lambda: _GivenUniforms(edge_u))]
     for rate, rng in cases:
-        want = sample_truncated_poisson(rate, rng())
+        want = draws(rate, rng())
         # X >= 7 was undecided through the passes k = 2..6
         assert np.sum(want >= 7) > totalmass._VECTOR_MIN_DRAWS
         for least in (0, rate.size + 1):
             monkeypatch.setattr(totalmass, "_VECTOR_MIN_DRAWS", least)
-            np.testing.assert_array_equal(sample_truncated_poisson(rate, rng()), want)
+            np.testing.assert_array_equal(draws(rate, rng()), want)
         monkeypatch.undo()
     # every run of 2 * ulps + 1 uniforms straddles its sign change
     assert np.all(np.ptp(want.reshape(-1, 9), axis=1) == 1)
@@ -338,14 +347,14 @@ def test_truncated_poisson_same_draws_whatever_the_block_depth(monkeypatch):
              (np.geomspace(1e-3, 10.0, 2000), _LastUniform)]
     for rate, make_rng in cases:
         rng = make_rng()
-        want = sample_truncated_poisson(rate, rng)
+        want = draws(rate, rng)
         want_next = rng.random(4)
         for depth in (1, 2, 3, 4, 5, 8):
             for least in (0, rate.size + 1):
                 monkeypatch.setattr(totalmass, "_BLOCK_TERMS", depth)
                 monkeypatch.setattr(totalmass, "_VECTOR_MIN_DRAWS", least)
                 rng = make_rng()
-                np.testing.assert_array_equal(sample_truncated_poisson(rate, rng), want)
+                np.testing.assert_array_equal(draws(rate, rng), want)
                 np.testing.assert_array_equal(rng.random(4), want_next)
         monkeypatch.undo()
 
@@ -368,14 +377,8 @@ class _LastUniform:
 def test_truncated_poisson_ends_at_largest_uniform():
     rates = np.concatenate([np.geomspace(1e-300, 1e4, 400),
                             [np.nextafter(_INVERSION_MAX_RATE, 0.0), _INVERSION_MAX_RATE]])
-    x = sample_truncated_poisson(rates, _LastUniform())
+    x = draws(rates, _LastUniform())
     assert x.dtype == np.int64 and np.all(x >= 1)
-
-
-def test_truncated_poisson_scalar_api():
-    rng = rng_stream(13, 0)
-    v = sample_truncated_poisson(2.0, rng)
-    assert isinstance(v, int) and v >= 1
 
 
 def test_truncated_poisson_rejects_bad_rate():
@@ -394,10 +397,10 @@ def test_truncated_poisson_rejects_a_rate_past_numpys_poisson_limit():
         with pytest.raises(DomainError):
             sample_truncated_poisson(np.array([1.0, bad]), rng)
     assert rng.random() == rng_stream(14, 1).random()
-    x = sample_truncated_poisson(np.array([1.0, MAX_POISSON_MEAN]), rng)
+    x = draws(np.array([1.0, MAX_POISSON_MEAN]), rng)
     assert x[1] > MAX_POISSON_MEAN / 2
 
 
 def test_truncated_poisson_empty_rate():
-    x = sample_truncated_poisson(np.array([]), rng_stream(15, 0))
-    assert x.shape == (0,) and x.dtype == np.int64
+    index, count = sample_truncated_poisson(np.array([]), rng_stream(15, 0))
+    assert index.shape == count.shape == (0,) and count.dtype == np.int64
