@@ -135,11 +135,16 @@ def _psi(sigma, tau, t):
     sigma -> 0, on plain and numpy floats alike; for tau = 0, L is infinite
     and psi is t^sigma / sigma. It is inf where tau^sigma overflows, and nan
     there at t = 0 (numpy's inf * 0, with its warning). Where t / tau passes
-    1.8e308 it is inf, or nan for sigma < 0; no sampler reaches either case.
+    1.8e308, and only there, L is log t - log tau.
     """
     if tau == 0.0:
         return np.power(t, sigma) / sigma
-    big_l = np.log1p(t / tau)
+    ratio = t / tau
+    big_l = np.log1p(ratio)
+    if isinstance(ratio, np.ndarray) or not ratio < np.inf:
+        # an array, or a scalar (as samplers pass) where t / tau overflowed;
+        # t > tau wherever it did, and the maximum spares log(0) elsewhere
+        big_l = np.where(ratio < np.inf, big_l, np.log(np.maximum(t, tau)) - np.log(tau))
     return np.power(tau, sigma) * big_l * exprel(sigma * big_l)
 
 

@@ -193,6 +193,20 @@ def test_laplace_exponent_matches_mpmath():
                 assert abs(got - want) <= 4e-15 * want, (s, tau, t)
 
 
+def test_psi_where_t_over_tau_overflows():
+    # t / tau passes the largest double while psi stays finite: there L is
+    # log t - log tau, about 714, and exprel(sigma L) carries about
+    # |sigma| L ulps
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for s, tau, t in ((-0.5, 1e-300, 1e10), (0.5, 1e-310, 1.0)):
+            assert not np.isfinite(t / tau)
+            sm, taum, tm = mpmath.mpf(s), mpmath.mpf(tau), mpmath.mpf(t)
+            want = ((tm + taum) ** sm - taum**sm) / sm
+            got = _psi(s, tau, t)
+            assert abs(got - want) <= 1e-13 * want, (s, tau, t)
+
+
 def test_log_upper_gamma_matches_mpmath():
     # a = -sigma: the recurrence from Gamma(a + 1, x) cancels for small
     # negative a, and E1(x) stands in for Gamma(a, x) down to a = -1e-6
