@@ -326,7 +326,7 @@ def sample_truncated_poisson(rate, rng):
         # where both hold is the count of leading ones
         going = lefts >= 0.0
         going &= terms > 0.0
-        steps = going.sum(axis=0)
+        steps = going.sum(axis=0, dtype=np.int64)
         steps += k + 1                  # the draws' values
         k += _BLOCK_TERMS
         keep = (steps > k).nonzero()[0]
