@@ -1,10 +1,10 @@
 """Graph value types and structural transforms.
 
 Each graph type is built from raw endpoint pairs and checks their ids
-against its node count (DomainError if out of range). A directed multigraph
-lists one (src, dst) pair per edge, in the order given; its undirected
-restriction keeps one edge per connected unordered pair (self-loops
-allowed), merged and stored sorted.
+against its node count (DomainError if not integers or out of range). A
+directed multigraph lists one (src, dst) pair per edge, in the order given;
+its undirected restriction keeps one edge per connected unordered pair
+(self-loops allowed), merged and stored sorted.
 """
 
 from dataclasses import dataclass
@@ -16,11 +16,14 @@ from .errors import DomainError
 
 
 def _checked_ids(n, a, b):
-    """Endpoint ids a, b as int64; DomainError unless they pair up in [0, n)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    """Endpoint ids a, b as int64; DomainError unless they are integers that
+    pair up in [0, n). An empty id list of any dtype is valid."""
+    a, b = np.asarray(a), np.asarray(b)
     if len(a) != len(b):
         raise DomainError(f"{len(a)} source ids for {len(b)} target ids")
+    if len(a) and (a.dtype.kind not in "iu" or b.dtype.kind not in "iu"):
+        raise DomainError(f"node ids must be integers, got dtypes {a.dtype} and {b.dtype}")
+    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     for ids in (a, b):
         if len(ids) and (ids.min() < 0 or ids.max() >= n):
             raise DomainError(f"node id out of range [0, {n})")

@@ -119,12 +119,21 @@ def inv_tail_intensity(params, y):
 
 
 def laplace_exponent(params, t):
-    """Laplace exponent psi(t) per unit alpha: E[e^(-t W*)] = exp(-alpha psi(t))."""
+    """Laplace exponent psi(t) per unit alpha: E[e^(-t W*)] = exp(-alpha psi(t)).
+
+    psi(inf) is the total tail mass rhobar(0+). Where t / tau passes the
+    largest double, psi is finite and no overflow warning is raised.
+    """
     scalar = np.isscalar(t)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("laplace_exponent requires t >= 0")
-    out = _psi(params.sigma, params.tau, t)
+    out = np.empty(t.shape)
+    finite = t != np.inf    # NaN stays in, and gives NaN
+    with np.errstate(over="ignore"):    # t / tau may overflow; _psi then uses log t - log tau
+        out[finite] = _psi(params.sigma, params.tau, t[finite])
+    if not finite.all():
+        out[~finite] = total_tail_mass(params)
     return float(out) if scalar else out
 
 

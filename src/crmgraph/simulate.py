@@ -8,7 +8,8 @@ closed-form envelopes. The gamma-process urn and the Kallenberg
 construction (unit-rate marks through the inverted tail intensity; for
 sigma < 0 its finite-activity case, whose marks are the Gamma(-sigma, tau)
 jumps of a compound Poisson process) are independent alternatives used
-for cross-validation. The urn and the finite-activity draw are exact; the
+for cross-validation. The Kallenberg path draws its edges, given its
+weights, with the truncated path's directed conditional. The urn and the finite-activity draw are exact; the
 truncated path, and the Kallenberg path for sigma >= 0, drop the atoms
 below eps, about 2 W m(eps) of which would have had an edge. Every path
 finishes a draw by the same rules: a draw with no atoms is an empty graph,
@@ -45,11 +46,12 @@ MAX_EXPECTED_PROPOSALS = 1e9
 # (256 KiB of doubles each) stay small enough for the allocator to reuse
 _DRAW_BLOCK = 1 << 15
 # a Kallenberg draw that expects more atoms than this is refused before it
-# draws: its pair edges cost O(K^2) time and O(_PAIR_ROWS K) memory. At the
-# cap (alpha 300, sigma 0.5, tau 1, eps 4.48e-5) a draw took 38 s on a 2-vCPU
-# x86-64 VM, with a peak RSS of 719 MiB (33k atoms: 16 s, 514 MiB)
-MAX_KALLENBERG_ATOMS = 5e4
-_PAIR_ROWS = 512        # atom rows whose pair probabilities are drawn at once
+# draws: for sigma >= 0 each atom costs inv_tail_intensity's 60 bisection steps,
+# about 13 us and 114 bytes. At the cap (alpha 300, sigma 0.5, tau 1, eps
+# 1.27e-8) a draw took 35 s on a 2-vCPU x86-64 VM, with a peak RSS of 359 MiB
+# (1e6 atoms: 15 s, 157 MiB); the cap is the largest round count whose draw
+# costs less than one of 5e4 atoms by O(K^2) pair draws, 49 s and 719 MiB there
+MAX_KALLENBERG_ATOMS = 3e6
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,11 @@ class SimConfig:
     truncation_eps is too small: the truncated path refuses a draw that
     expects more than MAX_EXPECTED_PROPOSALS (1e9) CRM proposals, which
     would hold 16 bytes each, the Kallenberg path one that expects more
-    than MAX_KALLENBERG_ATOMS (5e4) atoms, and every path refuses a Poisson
-    count whose mean passes numpy's limit (about 9.2e18). At the paper's
-    alpha = 300, sigma = 0.5, tau = 1, eps = 1e-6 expects 3.4e5 proposals
-    and eps = 1e-20 3.4e12."""
+    than MAX_KALLENBERG_ATOMS (3e6) atoms, each inverted by bisection, and
+    every path refuses a Poisson count whose mean passes numpy's limit
+    (about 9.2e18). At the paper's alpha = 300, sigma = 0.5, tau = 1,
+    eps = 1e-6 expects 3.4e5 proposals or atoms, eps = 1e-8 3.4e6 and
+    eps = 1e-20 3.4e12."""
 
     params: GgpParams
     truncation_eps: float = DEFAULT_EPS
@@ -334,44 +337,24 @@ def sample_gamma_urn(alpha, tau, rng):
     return DirectedMultigraph(n_distinct, labels[0::2], labels[1::2])
 
 
-def _bernoulli_pair_edges(w, rng):
-    """Edges i < j with p_ij = 1 - exp(-2 w_i w_j) and self-loops with
-    p_ii = 1 - exp(-w_i^2), drawn _PAIR_ROWS rows at a time."""
-    k = len(w)
-    ei, ej = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for start in range(0, k, _PAIR_ROWS):
-        stop = min(start + _PAIR_ROWS, k)
-        rows = np.arange(start, stop)
-        # upper triangle only: columns j > i
-        p = -np.expm1(-2.0 * np.outer(w[rows], w))
-        mask = rng.random(p.shape) < p
-        cols = np.arange(k)
-        tri = cols[None, :] > rows[:, None]
-        r, c = np.nonzero(mask & tri)
-        ei.append(rows[r])
-        ej.append(c)
-        p_loop = -np.expm1(-(w[rows] ** 2))
-        loop = rng.random(len(rows)) < p_loop
-        ei.append(rows[loop])
-        ej.append(rows[loop])
-    return np.concatenate(ei), np.concatenate(ej)
-
-
 def sample_kallenberg(params, eps, rng):
     """Undirected graph from the thinned unit-rate mark construction.
 
     Unit-rate marks theta on [0, alpha rhobar(eps)] map to weights through
-    the inverse tail intensity; each unordered pair is edged independently
-    with the pair probability of the weight construction. Isolated nodes
-    drop. For sigma < 0 the activity is finite, rhobar(0+) = tau^sigma /
-    (-sigma), and rhobar^-1(theta) = H^-1(1 - theta / rhobar(0+)) with H the
-    Gamma(-sigma, tau) cdf: all alpha rhobar(0+) marks are kept, their
-    uniforms go through H^-1 directly, and eps is unused.
+    the inverse tail intensity. Given the weights, the edges follow the same
+    law as on the truncated path, and are drawn by the same directed
+    conditional: {i, j} is an edge with probability 1 - exp(-2 w_i w_j), and
+    i has a self-loop with 1 - exp(-w_i^2). Isolated nodes drop, and nodes
+    are numbered by atom index. For sigma < 0 the activity is finite,
+    rhobar(0+) = tau^sigma / (-sigma), and rhobar^-1(theta) =
+    H^-1(1 - theta / rhobar(0+)) with H the Gamma(-sigma, tau) cdf: all
+    alpha rhobar(0+) marks are kept, their uniforms go through H^-1
+    directly, and eps is unused.
 
     DomainError before any draw when the expected mark count passes numpy's
     Poisson limit or MAX_KALLENBERG_ATOMS. At alpha 300, sigma 0.5, tau 1
-    the cap is eps = 4.48e-5; the paper's eps = 1e-6 expects 3.4e5 atoms,
-    about half an hour and 4 GiB of pair draws.
+    the cap is eps = 1.27e-8; the paper's eps = 1e-6 expects 3.4e5 atoms
+    and took about 5 s, nearly all of it inverting the tail intensity.
     """
     finite = params.sigma < 0
     # tail_intensity raises DomainError for eps <= 0
@@ -387,8 +370,7 @@ def sample_kallenberg(params, eps, rng):
     else:
         marks = rng.uniform(0.0, bound, size=k)
         w = inv_tail_intensity(params, marks / params.alpha)
-    ei, ej = _bernoulli_pair_edges(w, rng)
-    return compact_graph(ei, ej)[0]
+    return to_undirected(_directed_conditional(CrmSample(w), rng)[0])
 
 
 # the cross-validation paths: each keeps its self-loops and has no isolated nodes

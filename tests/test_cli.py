@@ -80,8 +80,8 @@ def test_sample_past_the_proposal_cap_exits_1(tmp_path, capsys):
 
 
 def test_sample_kallenberg_past_the_atom_cap_exits_1(tmp_path, capsys):
-    # the default eps = 1e-6 expects 3.4e5 atoms, whose pair edges cost O(K^2)
-    assert run(["sample", "--alpha", "300", "--sigma", "0.5", "--tau", "1",
+    # eps = 1e-8 expects 3.4e6 atoms, each inverted by bisection
+    assert run(["sample", "--alpha", "300", "--sigma", "0.5", "--tau", "1", "--eps", "1e-8",
                 "--path", "kallenberg", "--out", str(tmp_path / "g.txt")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "MAX_KALLENBERG_ATOMS" in err[0]

@@ -32,8 +32,8 @@ SAMPLE_GRAPH_SHA256 = "b3f65d4d61d31ac61b40ea96f375c62d1f30e9e0eb088e432702f6ac1
 TRUNCATED_POISSON_SHA256 = "049764308a3e09e11394c0990c7a95362619b6ebdb8eccaff544f037832af984"
 CHAIN_LIKE_POISSON_SHA256 = "9820943be91fd7445382c5374b3e7e967d27d211a8335c1fb3c2f9f276dc2244"
 DEEP_INVERSION_POISSON_SHA256 = "30fc73f58da5627ad210b6acd3223a0d626a5ae787cd8788eb48a9e02f5db663"
-# pinned on the compound-Poisson path that the sigma < 0 Kallenberg path replaced
-FINITE_ACTIVITY_SHA256 = "db3152126700f457f64fd877eeb07ceb972d9045e6ca2211de550ac06a82cda6"
+# the sigma < 0 Kallenberg path, its edges drawn by the truncated path's conditional
+FINITE_ACTIVITY_SHA256 = "b7b52c9a3e290831331ad42ad6134b32971e907b0c712c49eabf8c1ba8f49ef3"
 # truncated draws of 77k-169k CRM proposals and 2 D* of 100k-200k endpoints, so
 # that a draw made in blocks spans several of them: (alpha, sigma, tau, eps, sha256)
 # over every CRM weight, the graph, and its ground-truth weights

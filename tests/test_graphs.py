@@ -67,10 +67,25 @@ def test_undirected_graph_sorts_and_orients_edges():
     lambda: DirectedMultigraph(2, [0], [2]),
     lambda: DirectedMultigraph(2, [-1], [0]),
     lambda: UndirectedGraph(3, [3], [0]),
+    # non-integer ids are refused, not truncated or left to numpy's cast
+    lambda: UndirectedGraph(3, [0.7, 1.9], [1.2, 2.5]),
+    lambda: UndirectedGraph(3, [0.0, 1.0], [1.0, 2.0]),
+    lambda: UndirectedGraph(3, [0], [1.0]),
+    lambda: UndirectedGraph(3, [np.nan], [1]),
+    lambda: UndirectedGraph(3, [True], [False]),
+    lambda: DirectedMultigraph(3, [0.5], [1]),
+    lambda: DirectedMultigraph(3, ["0"], ["1"]),
 ])
 def test_graph_types_reject_out_of_range_ids(build):
     with pytest.raises(DomainError):
         build()
+
+
+def test_empty_id_lists_of_any_dtype_are_valid():
+    for ids in ([], np.empty(0), np.empty(0, object)):
+        z = UndirectedGraph(2, ids, ids)
+        assert z.n_edges == 0 and z.edge_i.dtype == np.int64
+        assert DirectedMultigraph(2, ids, ids).src.dtype == np.int64
 
 
 def test_undirected_graph_collapses_repeated_and_reversed_pairs():

@@ -207,6 +207,25 @@ def test_psi_where_t_over_tau_overflows():
             assert abs(got - want) <= 1e-13 * want, (s, tau, t)
 
 
+def test_laplace_exponent_at_infinity_is_the_total_tail_mass():
+    # psi(inf) = rhobar(0+): tau^sigma / -sigma for sigma < 0, where
+    # tau^sigma L exprel(sigma L) at L = inf is inf * 0
+    for s, tau in ((-0.5, 1.0), (-3.0, 0.5), (0.0, 1.0), (0.5, 1.0), (0.5, 0.0)):
+        p = GgpParams(1.0, s, tau)
+        assert laplace_exponent(p, np.inf) == total_tail_mass(p), (s, tau)
+    assert laplace_exponent(GgpParams(1.0, -0.5, 1.0), np.inf) == 2.0
+    got = laplace_exponent(GgpParams(1.0, -0.5, 1.0), [0.0, np.inf, np.nan])
+    np.testing.assert_array_equal(got, [0.0, 2.0, np.nan])
+
+
+def test_laplace_exponent_where_t_over_tau_overflows_does_not_warn():
+    # t / tau overflows before _psi takes log t - log tau; the suite turns
+    # numpy's overflow warning into an error
+    p = GgpParams(1.0, -0.5, 1e-300)
+    assert laplace_exponent(p, 1e10) == pytest.approx(2e150, rel=1e-13)
+    assert laplace_exponent(p, [1e10])[0] == laplace_exponent(p, 1e10)
+
+
 def test_log_upper_gamma_matches_mpmath():
     # a = -sigma: the recurrence from Gamma(a + 1, x) cancels for small
     # negative a, and E1(x) stands in for Gamma(a, x) down to a = -1e-6

@@ -12,7 +12,7 @@ from scipy.stats import expon, gamma, ks_2samp, kstest
 
 from crmgraph import simulate
 from crmgraph.errors import DomainError
-from crmgraph.graphs import CrmSample, DirectedMultigraph, UndirectedGraph, compact_graph
+from crmgraph.graphs import CrmSample, DirectedMultigraph, UndirectedGraph, to_undirected
 from crmgraph.levy import (
     expected_truncation_mass,
     levy_density,
@@ -22,7 +22,6 @@ from crmgraph.levy import (
 from crmgraph.params import GgpParams, rng_stream
 from crmgraph.simulate import (
     SimConfig,
-    _bernoulli_pair_edges,
     _crm_weights,
     sample_crm_truncated,
     sample_gamma_urn,
@@ -201,6 +200,27 @@ def test_directed_conditional_ordered_pair_rate():
     assert np.all(np.abs(pair_counts.mean(axis=0) - np.outer(w, w)) <= 4.0 * se)
 
 
+def test_undirected_edge_law_per_pair():
+    # n_ij + n_ji ~ Poisson(2 w_i w_j), so {i, j} is an edge with probability
+    # 1 - exp(-2 w_i w_j) and i has a self-loop with 1 - exp(-w_i^2). The
+    # truncated and Kallenberg paths both draw their edges this way. Over the
+    # 465 pairs the largest |z| reads 2.81; a bound of 4.5 SEs gives each pair
+    # a 7e-6 chance of a false alarm under the normal approximation, and a
+    # conditional that draws D* at 1.05 times its rate reads 6.9
+    w = np.geomspace(0.02, 1.2, 30)
+    sample, rng, n_draws = CrmSample(w), rng_stream(8, 0), 20_000
+    counts = np.zeros((len(w), len(w)))
+    for _ in range(n_draws):
+        d, atom_ids = simulate._directed_conditional(sample, rng)
+        z = to_undirected(d)
+        counts[atom_ids[z.edge_i], atom_ids[z.edge_j]] += 1   # each pair once per graph
+    i, j = np.triu_indices(len(w))
+    p = np.where(i == j, -np.expm1(-w[i] ** 2), -np.expm1(-2.0 * w[i] * w[j]))
+    se = np.sqrt(p * (1.0 - p) / n_draws)
+    assert np.max(np.abs(counts[i, j] / n_draws - p) / se) <= 4.5
+    assert not np.any(np.tril(counts, -1))
+
+
 def test_directed_conditional_numbers_nodes_by_atom_index():
     sample = sample_crm_truncated(GgpParams(30, 0.5, 1.0), 1e-4, rng_stream(4, 0))
     d, atom_ids = simulate._directed_conditional(sample, rng_stream(4, 1))
@@ -315,16 +335,17 @@ def test_proposal_cap_bounds_the_summed_mean(monkeypatch):
     sample_crm_truncated(p, 0.1, rng_stream(3))
 
 
-# alpha 300, sigma 0.5, tau 1 at the paper's eps = 1e-6: 3.4e5 atoms, whose
-# pair edges would take about half an hour and 4 GiB; sigma = -1e-3: 3e5 atoms
-@pytest.mark.parametrize("params, message", [
-    (GgpParams(300.0, 0.5, 1.0), r"expects 337914 atoms .* MAX_KALLENBERG_ATOMS = 50000; raise eps"),
-    (GgpParams(300.0, -1e-3, 1.0), r"expects 300000 atoms .*; use the truncated path"),
+# alpha 300, sigma 0.5, tau 1 at eps = 1e-8: 3.4e6 atoms, whose tail inversion
+# would take about 40 s; sigma = -5e-5: 6e6 atoms
+@pytest.mark.parametrize("params, eps, message", [
+    (GgpParams(300.0, 0.5, 1.0), 1e-8,
+     r"expects 3\.38454e\+06 atoms .* MAX_KALLENBERG_ATOMS = 3e\+06; raise eps"),
+    (GgpParams(300.0, -5e-5, 1.0), 1e-6, r"expects 6e\+06 atoms .*; use the truncated path"),
 ], ids=["paper-scale", "finite-activity"])
-def test_kallenberg_draw_past_the_atom_cap_is_refused_before_drawing(params, message):
+def test_kallenberg_draw_past_the_atom_cap_is_refused_before_drawing(params, eps, message):
     rng = rng_stream(2)
     with pytest.raises(DomainError, match=message):
-        sample_kallenberg(params, 1e-6, rng)
+        sample_kallenberg(params, eps, rng)
     np.testing.assert_equal(rng.bit_generator.state, rng_stream(2).bit_generator.state)
 
 
@@ -415,8 +436,7 @@ def test_compound_poisson_graph_matches_gamma_quantile():
     z = sample_kallenberg(p, 1e-3, rng_stream(5, 0))
     rng = rng_stream(5, 0)
     u = rng.uniform(size=rng.poisson(p.alpha * total_tail_mass(p)))
-    ei, ej = _bernoulli_pair_edges(gamma.ppf(u, 0.5, scale=0.5), rng)
-    ref = compact_graph(ei, ej)[0]
+    ref = to_undirected(simulate._directed_conditional(CrmSample(gamma.ppf(u, 0.5, scale=0.5)), rng)[0])
     assert z.n_nodes == ref.n_nodes > 10
     np.testing.assert_array_equal(z.edge_i, ref.edge_i)
     np.testing.assert_array_equal(z.edge_j, ref.edge_j)
